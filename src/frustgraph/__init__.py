@@ -24,6 +24,7 @@ from .errors import (
     FrustGraphError,
     InternalParity,
     InvalidMode,
+    InvalidOption,
     NonCommuting,
     NonPrimeModulus,
     NotAntisymmetric,
@@ -87,6 +88,7 @@ __all__ = [
     "GroupSpec",
     "InternalParity",
     "InvalidMode",
+    "InvalidOption",
     "NonCommuting",
     "NonPrimeModulus",
     "NotAntisymmetric",

@@ -57,7 +57,7 @@ from .oracle import (
     verify_swap_identity,
 )
 from .pauli import PauliOperator, omega_units
-from .stabilizer import Stabilizer, bipartitions, builtin_code
+from .stabilizer import Stabilizer, builtin_code, ggm_from_reports, gme_from_reports
 from .symplectic import canonical_form
 
 REPORT_SCHEMA = "frustgraph-report/1"
@@ -340,17 +340,12 @@ def _run_entanglement(doc: InputDocument, flags: CommandFlags) -> Report:
     stab = Stabilizer(doc.generators)
     stab.validate()
     reports = stab.bipartition_reports()
-    gme = stab.is_gme()
-    if reports:
-        ggm = min(r.gm_exact for r in reports)
-    else:
-        ggm = Fraction(0)
     result = {
         "d": stab.d,
         "n_sites": stab.n_sites,
         "k": stab.k,
-        "is_gme": gme,
-        "ggm": rational_dict(ggm),
+        "is_gme": gme_from_reports(reports),
+        "ggm": rational_dict(ggm_from_reports(reports, stab.d)),
         "bipartitions": [
             {
                 "Q": list(r.Q.indices),
@@ -440,10 +435,9 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
             stab = Stabilizer(doc.generators)
             stab.validate()
             worst = 0.0
-            for q in bipartitions(stab.n_sites):
-                closed = stab.gm_measure(q).gm_value
-                numeric = 1.0 - max_product_overlap(stab, q, cfg)
-                worst = max(worst, abs(numeric - closed))
+            for report in stab.bipartition_reports():
+                numeric = 1.0 - max_product_overlap(stab, report.Q, cfg)
+                worst = max(worst, abs(numeric - report.gm_value))
             entries.append(_check_entry("overlap", worst, OVERLAP_TOLERANCE))
         else:
             raise InvalidMode(f"unknown verify check {name!r}")

@@ -49,6 +49,12 @@ class InternalParity(FrustGraphError):
     code = "internal-parity"
 
 
+class InvalidOption(FrustGraphError, ValueError):
+    """A configuration value lies outside its valid range."""
+
+    code = "invalid-option"
+
+
 class TooLarge(FrustGraphError):
     """Requested object exceeds the configured size cap."""
 

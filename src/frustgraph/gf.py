@@ -198,3 +198,31 @@ def invert(matrix: GFMatrix) -> GFMatrix:
     if len(pivots) < n:
         raise Singular(f"matrix has rank {len(pivots)} < {n}")
     return GFMatrix(R[:, n:], matrix.d)
+
+
+def rank_stack(stack: np.ndarray, d: int) -> np.ndarray:
+    """Ranks over Z_d of a (C, rows, cols) stack of matrices, one per C.
+
+    Eliminates column by column for all matrices at once.  In each matrix
+    the first row with a nonzero entry in the column is the pivot; every
+    row r becomes p r - r_c (pivot row), with p the pivot entry, which
+    clears the column without a modular inverse and retires the pivot row
+    to zero.  The cleared column is then dropped, and the rank is the
+    number of columns that found a pivot.
+
+    Entries must be reduced mod d, and products of two residues must fit
+    the stack's dtype (int64 below d ~ 3e9, object dtype beyond).
+    """
+    R = np.asarray(stack)
+    ranks = np.zeros(R.shape[0], dtype=np.int64)
+    members = np.arange(R.shape[0])
+    while R.shape[2]:
+        col = R[:, :, 0]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        pivot_row = R[members, nonzero.argmax(axis=1)]
+        scale = np.where(found, pivot_row[:, 0], 1)
+        rest = R[:, :, 1:]
+        R = (scale[:, None, None] * rest - col[:, :, None] * pivot_row[:, None, 1:]) % d
+        ranks += found
+    return ranks

@@ -31,7 +31,7 @@ from .errors import (
     TooLarge,
 )
 from .gf import GFMatrix, GFScalar, check_modulus, nullspace_basis, rank
-from .pauli import PauliOperator, commutator_exponent
+from .pauli import PauliOperator, commutator_matrix, exponent_tableau
 from .symplectic import check_antisymmetric
 
 DEFAULT_VERTEX_CAP = 256
@@ -48,14 +48,7 @@ def generating_graph(generators) -> GFMatrix:
         raise DimensionMismatch("need at least one generator; use an empty "
                                 "gamma for the trivial group")
     d = generators[0].d
-    k = len(generators)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = commutator_exponent(generators[i], generators[j]).value
-            out[i, j] = s
-            out[j, i] = (-s) % d
-    return GFMatrix(out, d)
+    return GFMatrix(commutator_matrix(*exponent_tableau(generators), d), d)
 
 
 @dataclass(frozen=True)

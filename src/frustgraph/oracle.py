@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSubset, EvenDimension, TooLarge
+from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
 from .gf import check_modulus
 from .group import GroupSpec, concrete_elements, sum_bound
 from .pauli import PauliOperator, SiteSubset
@@ -60,9 +60,9 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise InvalidOption("restarts must be at least 1")
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise InvalidOption("tol must be positive")
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed))

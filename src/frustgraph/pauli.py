@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import BadSubset, DimensionMismatch
 from .gf import GFScalar, check_modulus
 
@@ -200,6 +202,41 @@ def commutator_exponent(p: PauliOperator, q: PauliOperator) -> GFScalar:
         x * y for x, y in zip(p.a, q.b)
     )
     return GFScalar(value, d)
+
+
+def tableau_dtype(d: int, n_sites: int):
+    """int64 when every sum of n_sites exponent products fits, else object.
+
+    Tableau arithmetic sums at most n_sites products of two residues mod d
+    before reducing, so int64 is exact while 2 n (d-1)^2 < 2^63; above
+    that the arrays hold Python ints, which never overflow.
+    """
+    return np.int64 if 2 * n_sites * (d - 1) ** 2 < 2 ** 63 else object
+
+
+def exponent_tableau(ops) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z exponents of operators sharing d and n as (k, n) arrays A, B.
+
+    Row i of A (of B) is the X (the Z) exponent vector of the i-th
+    operator; phases are dropped, since commutators never see them.
+    """
+    ops = tuple(ops)
+    first = ops[0]
+    for op in ops[1:]:
+        first._check_compatible(op)
+    dtype = tableau_dtype(first.d, first.n_sites)
+    A = np.array([op.a for op in ops], dtype=dtype)
+    B = np.array([op.b for op in ops], dtype=dtype)
+    return A, B
+
+
+def commutator_matrix(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
+    """All commutator exponents of a tableau at once: B A^T - A B^T mod d.
+
+    Entry (i, j) is commutator_exponent of rows i and j; selecting columns
+    of A and B first gives the commutators of the restricted operators.
+    """
+    return (B @ A.T - A @ B.T) % d
 
 
 def tensor(*ops: PauliOperator) -> PauliOperator:

@@ -12,6 +12,16 @@ equivalently 1 - d^(-k) times the clique number of the reduced
 commutation graph.  The minimum over all bipartitions is (d-1)/d whenever
 the subspace is genuinely multipartite entangled, and that value is
 asserted, not just returned.
+
+The generators are held as a k x 2n exponent tableau (A | B), X exponents
+in A and Z exponents in B, built once per stabilizer.  The generating
+graph is B A^T - A B^T mod d, and gamma_Q is the same product over the
+columns of the sites in Q.  The bipartition scan takes cuts in blocks of
+SCAN_BLOCK: one masked product over the tableau gives gamma_Q for every
+cut of the block, and one elimination vectorised over the block gives
+all their ranks.  The tableau is int64 when 2 n (d-1)^2 < 2^63, so that
+no sum of exponent products can overflow, and holds exact Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,11 +42,23 @@ from .errors import (
     TooManyBipartitions,
     UnknownCode,
 )
-from .gf import GFMatrix, nullspace_basis, rank
-from .group import generating_graph
-from .pauli import PauliOperator, SiteSubset, commutator_exponent
+from .gf import GFMatrix, nullspace_basis, rank, rank_stack
+from .pauli import PauliOperator, SiteSubset, commutator_matrix, exponent_tableau
 
 DEFAULT_BIPARTITION_CAP = 2 ** 15 - 1  # handles n_sites up to 16
+# cuts per batched step of the scan; bounds its temporaries to
+# SCAN_BLOCK * k * k entries whatever the number of cuts
+SCAN_BLOCK = 256
+
+
+def _cut_count(n_sites: int) -> int:
+    return (1 << (n_sites - 1)) - 1
+
+
+def _cut(mask: int, n_sites: int) -> SiteSubset:
+    """Side Q of cut number ``mask``: site 1, plus site i + 2 for bit i."""
+    picked = [1] + [i + 2 for i in range(n_sites - 1) if (mask >> i) & 1]
+    return SiteSubset(tuple(picked), n_sites)
 
 
 def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
@@ -45,10 +67,8 @@ def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
     Enumeration order is fixed (binary counting over sites 2..n), so any
     scan over bipartitions is reproducible.
     """
-    rest = n_sites - 1
-    for mask in range((1 << rest) - 1):
-        picked = [1] + [i + 2 for i in range(rest) if (mask >> i) & 1]
-        yield SiteSubset(tuple(picked), n_sites)
+    for mask in range(_cut_count(n_sites)):
+        yield _cut(mask, n_sites)
 
 
 class Stabilizer:
@@ -66,6 +86,7 @@ class Stabilizer:
         self.d = d
         self.n_sites = n
         self.generators = gens
+        self._A, self._B = exponent_tableau(gens)
         self._validated = False
 
     @property
@@ -86,10 +107,10 @@ class Stabilizer:
             return
         gens = self.generators
         d, k = self.d, self.k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if commutator_exponent(gens[i], gens[j]).value:
-                    raise NonCommuting(i + 1, j + 1)
+        gamma = commutator_matrix(self._A, self._B, d)
+        rows, cols = np.nonzero(np.triu(gamma, 1))
+        if len(rows):
+            raise NonCommuting(int(rows[0]) + 1, int(cols[0]) + 1)
         ident = PauliOperator.identity(d, self.n_sites)
         for i, g in enumerate(gens):
             if g ** d != ident:
@@ -98,8 +119,7 @@ class Stabilizer:
                     "nontrivial scalar"
                 )
         # combinations with identity Pauli part must multiply to exactly 1
-        stacked = np.array([list(g.a) + list(g.b) for g in gens], dtype=np.int64)
-        combos = nullspace_basis(GFMatrix(stacked.T, d))
+        combos = nullspace_basis(GFMatrix(np.hstack([self._A, self._B]).T, d))
         for combo in combos:
             prod = ident
             for g, e in zip(gens, combo):
@@ -127,7 +147,10 @@ class Stabilizer:
             )
         if not subset.is_proper:
             raise BadSubset("bipartition side must be a proper subset")
-        return generating_graph(g.restrict(subset) for g in self.generators)
+        sites = [i - 1 for i in subset.indices]
+        return GFMatrix(
+            commutator_matrix(self._A[:, sites], self._B[:, sites], self.d), self.d
+        )
 
     def is_gme(self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP) -> bool:
         """Whether the stabilized subspace is genuinely multipartite entangled.
@@ -136,20 +159,54 @@ class Stabilizer:
         that fail to commute, i.e. no reduced generating graph vanishes.
         A single site has no bipartitions and is never entangled.
         """
-        self.validate()
-        if self.n_sites < 2:
-            return False
-        self._check_cap(bipartition_cap)
-        for subset in bipartitions(self.n_sites):
-            if not np.any(self.reduced_generating_graph(subset).entries):
-                return False
-        return True
+        return gme_from_reports(self.bipartition_reports(bipartition_cap))
 
     def gm_measure(self, subset: SiteSubset) -> "BipartitionReport":
         """Geometric entanglement of the subspace across one bipartition."""
-        self.validate()
         gamma_q = self.reduced_generating_graph(subset)
         r = rank(gamma_q)
+        gm = self._measure(r)
+        return BipartitionReport(subset, gamma_q, r, gm, float(gm))
+
+    def bipartition_reports(
+        self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP
+    ) -> list["BipartitionReport"]:
+        """One report per bipartition, in the order of ``bipartitions``."""
+        self.validate()
+        self._check_cap(bipartition_cap)
+        d, n = self.d, self.n_sites
+        count = _cut_count(n)
+        reports = []
+        measures = {}  # rank -> (exact, float); few distinct ranks per scan
+        for start in range(0, count, SCAN_BLOCK):
+            masks = range(start, min(start + SCAN_BLOCK, count))
+            # sides[c, s] = 1 iff site s + 1 is in Q for cut masks[c]
+            sides = np.ones((len(masks), n), dtype=self._A.dtype)
+            sides[:, 1:] = (np.array(masks)[:, None] >> np.arange(n - 1)) & 1
+            half = np.einsum("in,cn,jn->cij", self._B, sides, self._A)
+            gammas = (half - half.transpose(0, 2, 1)) % d
+            ranks = rank_stack(gammas, d).tolist()
+            for mask, gamma_q, r in zip(masks, gammas, ranks):
+                if r not in measures:
+                    gm = self._measure(r)
+                    measures[r] = (gm, float(gm))
+                subset = _cut(mask, n)
+                reports.append(
+                    BipartitionReport(subset, GFMatrix(gamma_q, d), r, *measures[r])
+                )
+        return reports
+
+    def ggm_measure(self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP) -> float:
+        """Minimum geometric measure over all bipartitions.
+
+        When the subspace is genuinely multipartite entangled this is
+        exactly (d-1)/d, and that equality is asserted.
+        """
+        reports = self.bipartition_reports(bipartition_cap)
+        return float(ggm_from_reports(reports, self.d))
+
+    def _measure(self, r: int) -> Fraction:
+        """Exact measure across a cut whose reduced graph has rank r."""
         if r % 2:
             raise InternalParity("reduced generating graph has odd rank")
         scale = self.d ** (r // 2)
@@ -159,47 +216,39 @@ class Stabilizer:
         clique = self.d ** ((nullity + self.k) // 2)
         if gm != Fraction(self.d ** self.k - clique, self.d ** self.k):
             raise RuntimeError("rank form and clique form disagree")
-        return BipartitionReport(
-            Q=subset,
-            gamma_Q=gamma_q,
-            rank_Q=r,
-            gm_exact=gm,
-            gm_value=float(gm),
-        )
-
-    def bipartition_reports(
-        self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP
-    ) -> list["BipartitionReport"]:
-        self.validate()
-        self._check_cap(bipartition_cap)
-        return [self.gm_measure(q) for q in bipartitions(self.n_sites)]
-
-    def ggm_measure(self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP) -> float:
-        """Minimum geometric measure over all bipartitions.
-
-        When the subspace is genuinely multipartite entangled this is
-        exactly (d-1)/d, and that equality is asserted.
-        """
-        self.validate()
-        if self.n_sites < 2:
-            return 0.0
-        reports = self.bipartition_reports(bipartition_cap)
-        least = min(r.gm_exact for r in reports)
-        if all(r.rank_Q > 0 for r in reports):
-            expected = Fraction(self.d - 1, self.d)
-            if least != expected:
-                raise RuntimeError(
-                    f"entangled subspace has minimum measure {least}, "
-                    f"expected {expected}"
-                )
-        return float(least)
+        return gm
 
     def _check_cap(self, bipartition_cap: int) -> None:
-        count = 2 ** (self.n_sites - 1) - 1
+        count = _cut_count(self.n_sites)
         if count > bipartition_cap:
             raise TooManyBipartitions(
                 f"{count} bipartitions exceed the cap of {bipartition_cap}"
             )
+
+
+def gme_from_reports(reports: list["BipartitionReport"]) -> bool:
+    """Genuine multipartite entanglement read off a full bipartition scan.
+
+    True iff there is at least one cut and no cut has a vanishing reduced
+    generating graph.
+    """
+    return bool(reports) and all(r.rank_Q > 0 for r in reports)
+
+
+def ggm_from_reports(reports: list["BipartitionReport"], d: int) -> Fraction:
+    """Exact minimum measure over a full bipartition scan, 0 with no cut.
+
+    When the scan shows genuine multipartite entanglement the minimum is
+    exactly (d-1)/d, and that equality is asserted.
+    """
+    least = min((r.gm_exact for r in reports), default=Fraction(0))
+    expected = Fraction(d - 1, d)
+    if gme_from_reports(reports) and least != expected:
+        raise RuntimeError(
+            f"entangled subspace has minimum measure {least}, "
+            f"expected {expected}"
+        )
+    return least
 
 
 @dataclass(frozen=True)

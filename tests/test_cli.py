@@ -21,13 +21,14 @@ from frustgraph.cli import (
     Report,
     document_from_stabilizer,
     emit_report,
+    main,
     parse_document,
     rational_dict,
     real_str,
     run_command,
     serialize_document,
 )
-from frustgraph.stabilizer import builtin_code
+from frustgraph.stabilizer import Stabilizer, builtin_code
 
 DOCS_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "inputs"
 
@@ -216,6 +217,28 @@ def test_cli_exit_codes(tmp_path):
 
     proc = _run_cli("analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("option", [("--restarts", "0"), ("--tol", "0")])
+def test_cli_rejects_bad_optimizer_option(option, capsys):
+    argv = ["verify", "--builtin", "five_qudit", "--d", "3", "--sos", *option]
+    assert main(argv) == 2
+    assert "error[invalid-option]" in capsys.readouterr().err
+
+
+def test_entanglement_scans_the_cuts_once(monkeypatch):
+    scans = []
+    original = Stabilizer.bipartition_reports
+
+    def counted(self, *args, **kwargs):
+        scans.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stabilizer, "bipartition_reports", counted)
+    doc = document_from_stabilizer(builtin_code("five_qudit", 3, 5))
+    report = run_command("entanglement", doc, CommandFlags())
+    assert len(scans) == 1
+    assert report.result["is_gme"] is True
 
 
 def test_cli_reports_are_deterministic(tmp_path):

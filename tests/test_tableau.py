@@ -1,0 +1,182 @@
+"""Exponent-tableau fast paths against the scalar per-operator route.
+
+The scalar route restricts each generator with ``PauliOperator.restrict``,
+pairs them with ``commutator_exponent`` and ranks with ``gf.rank``; the
+tableau route must reproduce it exactly, cut by cut.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from frustgraph import (
+    GFMatrix,
+    PauliOperator,
+    Stabilizer,
+    bipartitions,
+    builtin_code,
+    commutator_exponent,
+    generating_graph,
+    rank,
+)
+from frustgraph.cli import parse_document
+from frustgraph.gf import rank_stack
+from frustgraph.pauli import commutator_matrix, tableau_dtype
+from frustgraph.stabilizer import SCAN_BLOCK
+
+BIG_PRIME = 2 ** 31 - 1  # int64 products of two residues fit, sums of three do not
+
+
+def scalar_graph(ops) -> list[list[int]]:
+    return [[commutator_exponent(p, q).value for q in ops] for p in ops]
+
+
+def assert_scan_matches_scalar(stab: Stabilizer) -> None:
+    assert generating_graph(stab.generators).to_lists() == scalar_graph(stab.generators)
+    reports = stab.bipartition_reports()
+    assert [r.Q for r in reports] == list(bipartitions(stab.n_sites))
+    for report in reports:
+        gamma = scalar_graph([g.restrict(report.Q) for g in stab.generators])
+        assert report.gamma_Q.to_lists() == gamma
+        assert report.rank_Q == rank(GFMatrix(gamma, stab.d))
+        assert stab.reduced_generating_graph(report.Q).to_lists() == gamma
+
+
+def graph_state(d: int, adjacency) -> Stabilizer:
+    n = len(adjacency)
+    return Stabilizer(
+        PauliOperator(d, tuple(int(s == i) for s in range(n)), tuple(adjacency[i]))
+        for i in range(n)
+    )
+
+
+@st.composite
+def stabilizers(draw):
+    """Graph states, random-tree GHZ and builtin codes, then mixed.
+
+    Replacing g_i by g_i g_j^c keeps the stabilizer group; at d = 2 the
+    products carry the quarter-turn phases written w^1/2 in documents.
+    """
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["graph", "ghz_tree", "ghz", "five_qudit"]))
+    n = 5 if kind == "five_qudit" else draw(st.integers(2, 7))
+    residue = st.integers(0, d - 1)
+    unit = st.integers(1, d - 1)
+    if kind == "graph":
+        adj = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                adj[i][j] = adj[j][i] = draw(residue)
+        gens = list(graph_state(d, adj).generators)
+    elif kind == "ghz_tree":
+        gens = [PauliOperator(d, (draw(unit),) * n, (0,) * n)]
+        for i in range(1, n):
+            b = [0] * n
+            e = draw(unit)
+            b[i] = e
+            b[draw(st.integers(0, i - 1))] = -e  # edge to an earlier site
+            gens.append(PauliOperator(d, (0,) * n, tuple(b)))
+    else:
+        gens = list(builtin_code(kind, d, n).generators)
+    k = len(gens)
+    moves = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), unit)
+    for i, j, c in draw(st.lists(moves, max_size=4)):
+        if i != j:
+            gens[i] = gens[i] * gens[j] ** c
+    stab = Stabilizer(gens)
+    stab.validate()
+    return stab
+
+
+@settings(max_examples=40, deadline=None)
+@given(stabilizers())
+def test_scan_matches_scalar_path(stab):
+    assert_scan_matches_scalar(stab)
+
+
+def test_scan_with_quarter_turn_phases():
+    doc = parse_document(
+        "d=2 n=3 mode=stabilizer\n"
+        "g1: w^1/2 X^1Z^1 X I\n"
+        "g2: w^1/2 X X^1Z^1 I\n"
+        "g3: Z Z Z\n"
+    )
+    assert [g.phase_exp for g in doc.generators] == [1, 1, 0]
+    assert_scan_matches_scalar(Stabilizer(doc.generators))
+
+
+def test_scan_spanning_several_blocks():
+    rng = random.Random(0)
+    n = 10
+    assert (2 ** (n - 1) - 1) % SCAN_BLOCK
+    assert 2 ** (n - 1) - 1 > SCAN_BLOCK
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i][j] = adj[j][i] = rng.randrange(3)
+    assert_scan_matches_scalar(graph_state(3, adj))
+
+
+def test_scan_exact_at_large_prime():
+    # n = 3 at d = 2^31 - 1 puts the tableau in object dtype
+    assert tableau_dtype(BIG_PRIME, 3) is object
+    big = BIG_PRIME - 1
+    stab = graph_state(BIG_PRIME, [[0, big, big - 1], [big, 0, big], [big - 1, big, 0]])
+    assert_scan_matches_scalar(stab)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7]),
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    count=st.integers(2, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(d=7, rows=6, cols=6, count=SCAN_BLOCK + 1, seed=0)
+def test_rank_stack_matches_scalar_rank(d, rows, cols, count, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, d, (count, rows, cols))
+    # every third member sparse, so low ranks occur
+    stack[::3] *= rng.random(stack[::3].shape) < 0.3
+    stack[0] = 0
+    diagonal = np.eye(rows, cols, dtype=np.int64) * rng.integers(1, d, cols)
+    full = (np.triu(rng.integers(0, d, (rows, cols)), 1) + diagonal) % d
+    stack[-1] = full[rng.permutation(rows)]
+    got = rank_stack(stack, d)
+    assert got.tolist() == [rank(GFMatrix(m, d)) for m in stack]
+    assert got[0] == 0
+    assert got[-1] == min(rows, cols)
+
+
+exponent = st.one_of(st.integers(0, BIG_PRIME - 1), st.just(BIG_PRIME - 1))
+site_row = st.tuples(exponent, exponent, exponent)
+TOP = (BIG_PRIME - 1,) * 3
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(site_row, site_row), min_size=2, max_size=4))
+@example([(TOP, TOP), (TOP, (1, 1, 1))])
+def test_generating_graph_exact_at_int64_boundary(rows):
+    ops = [PauliOperator(BIG_PRIME, a, b) for a, b in rows]
+    assert generating_graph(ops).to_lists() == scalar_graph(ops)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_tableau_dtype_switches_where_int64_would_overflow(n):
+    # the largest d - 1 with 2 n (d-1)^2 < 2^63, then one more
+    top = math.isqrt((2 ** 63 - 1) // (2 * n))
+    assert 2 * n * top ** 2 < 2 ** 63 <= 2 * n * (top + 1) ** 2
+    for d, dtype in ((top + 1, np.int64), (top + 2, object)):
+        assert tableau_dtype(d, n) is dtype
+        A = np.full((2, n), d - 1, dtype=dtype)
+        B = A.copy()
+        B[1] = 1
+        want = (n * (d - 1) ** 2 - n * (d - 1)) % d
+        assert commutator_matrix(A, B, d).tolist() == [[0, want], [(-want) % d, 0]]

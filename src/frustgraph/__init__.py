@@ -22,6 +22,7 @@ from .errors import (
     EvenDimension,
     ExponentOutOfRange,
     FrustGraphError,
+    GammaMismatch,
     InternalParity,
     InvalidMode,
     InvalidOption,
@@ -34,10 +35,9 @@ from .errors import (
     TooLarge,
     TooManyBipartitions,
     UnknownCode,
-    ZeroInverse,
 )
-from .gf import GFMatrix, GFScalar, field_inverse, invert, is_prime, nullspace_basis, rank
-from .pauli import PauliOperator, SiteSubset, commutator_exponent, tensor
+from .gf import GFMatrix, invert, is_prime, nullspace_basis, rank
+from .pauli import PauliOperator, SiteSubset, commutator_exponent, ordered_product, tensor
 from .group import (
     CommutationGraph,
     GroupSpec,
@@ -84,7 +84,7 @@ __all__ = [
     "ExponentOutOfRange",
     "FrustGraphError",
     "GFMatrix",
-    "GFScalar",
+    "GammaMismatch",
     "GroupSpec",
     "InternalParity",
     "InvalidMode",
@@ -102,7 +102,6 @@ __all__ = [
     "TooLarge",
     "TooManyBipartitions",
     "UnknownCode",
-    "ZeroInverse",
     "bipartitions",
     "block_reduce",
     "builtin_code",
@@ -116,7 +115,6 @@ __all__ = [
     "concrete_elements",
     "dense_pauli",
     "element_indices",
-    "field_inverse",
     "frustration_exponent",
     "generating_graph",
     "invert",
@@ -126,6 +124,7 @@ __all__ = [
     "max_sos",
     "max_sum_eigenvalue",
     "nullspace_basis",
+    "ordered_product",
     "rank",
     "sos_bound",
     "stabilizer_projector",

@@ -39,8 +39,8 @@ from .errors import (
     InvalidMode,
     ParseError,
 )
-from .gf import GFMatrix, rank
-from .group import GroupSpec, commutation_graph
+from .gf import rank
+from .group import DEFAULT_VERTEX_CAP, GroupSpec, commutation_graph
 from .group import clique_number, sos_bound, sum_bound
 from .oracle import (
     BOUND_TOLERANCE,
@@ -256,12 +256,12 @@ def document_from_stabilizer(stab: Stabilizer, mode: str = "stabilizer") -> Inpu
 
 @dataclass(frozen=True)
 class CommandFlags:
-    """Options shared by the subcommands, mirroring OptimizerConfig defaults."""
+    """Options shared by the subcommands; defaults come from the library."""
 
-    seed: int = 0
-    restarts: int = 32
-    tol: float = 1e-9
-    cap_vertices: int = 256
+    seed: int = OptimizerConfig.seed
+    restarts: int = OptimizerConfig.restarts
+    tol: float = OptimizerConfig.tol
+    cap_vertices: int = DEFAULT_VERTEX_CAP
     checks: tuple[str, ...] = ()
     d: int | None = None
 
@@ -289,10 +289,6 @@ class Report:
         }
 
 
-def _gamma_payload(gamma: GFMatrix) -> list[list[int]]:
-    return gamma.to_lists()
-
-
 def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
     spec = GroupSpec.from_generators(doc.generators)
     r = rank(spec.gamma)
@@ -301,7 +297,7 @@ def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
         "d": spec.d,
         "n_sites": doc.n_sites,
         "k": spec.k,
-        "gamma": _gamma_payload(spec.gamma),
+        "gamma": spec.gamma.to_lists(),
         "rank": r,
         "nullity": nullity,
         "clique_number": clique_number(spec),
@@ -325,8 +321,8 @@ def _run_canonical(doc: InputDocument, flags: CommandFlags) -> Report:
     result = {
         "d": spec.d,
         "k": spec.k,
-        "gamma": _gamma_payload(spec.gamma),
-        "O": _gamma_payload(form.O),
+        "gamma": spec.gamma.to_lists(),
+        "O": form.O.to_lists(),
         "pair_blocks": form.m,
         "residual_dim": form.residual_dim,
         "rank": 2 * form.m,
@@ -526,10 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, default=None, help="dimension for --builtin or abstract checks")
     common.add_argument("--n", type=int, default=None, help="site count for --builtin")
     common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--restarts", type=int, default=32)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--cap-vertices", type=int, default=256)
+    defaults = CommandFlags()
+    common.add_argument("--seed", type=int, default=defaults.seed)
+    common.add_argument("--restarts", type=int, default=defaults.restarts)
+    common.add_argument("--tol", type=float, default=defaults.tol)
+    common.add_argument("--cap-vertices", type=int, default=defaults.cap_vertices)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="generating graph, rank and bounds")
     sub.add_parser("canonical", parents=[common], help="symplectic normal form of the generating graph")

@@ -19,12 +19,6 @@ class NonPrimeModulus(FrustGraphError):
     code = "non-prime-modulus"
 
 
-class ZeroInverse(FrustGraphError):
-    """Multiplicative inverse of zero requested in Z_d."""
-
-    code = "zero-inverse"
-
-
 class Singular(FrustGraphError):
     """Matrix inverse requested for a rank-deficient matrix."""
 
@@ -53,6 +47,12 @@ class InvalidOption(FrustGraphError, ValueError):
     """A configuration value lies outside its valid range."""
 
     code = "invalid-option"
+
+
+class GammaMismatch(FrustGraphError, ValueError):
+    """A group spec's gamma disagrees with its generators' commutators."""
+
+    code = "gamma-mismatch"
 
 
 class TooLarge(FrustGraphError):

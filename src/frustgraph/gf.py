@@ -6,15 +6,17 @@ point.  All matrices in this library are tiny (generator counts, never
 Hilbert-space dimensions), so there is no sparsity or fancy pivoting;
 pivots are always the first row with a nonzero entry, which keeps every
 derived basis reproducible.
+
+Scalars of Z_d are plain Python ints.  Integer arrays follow one rule,
+``exact_dtype``: int64 while no sum they hold can overflow it, Python ints
+(object dtype) beyond that, so every result is exact whatever d is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NonPrimeModulus, Singular, ZeroInverse
+from .errors import DimensionMismatch, NonPrimeModulus, Singular
 
 
 def is_prime(n: int) -> bool:
@@ -37,39 +39,31 @@ def check_modulus(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class GFScalar:
-    """An element of Z_d, kept reduced to the range [0, d)."""
+def exact_dtype(d: int, terms: int = 1):
+    """int64 when a sum of ``terms`` products of two residues fits, else object.
 
-    value: int
-    d: int
-
-    def __post_init__(self) -> None:
-        d = check_modulus(self.d)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "value", int(self.value) % d)
-
-    def __int__(self) -> int:
-        return self.value
+    Such a sum is at most terms (d-1)^2 in magnitude.  One term covers
+    storage and elimination (a residue minus a product of two).
+    """
+    return np.int64 if terms * (d - 1) ** 2 < 2 ** 63 else object
 
 
-def field_inverse(a: GFScalar) -> GFScalar:
-    """Multiplicative inverse in Z_d; zero has none."""
-    if a.value == 0:
-        raise ZeroInverse(f"0 has no multiplicative inverse mod {a.d}")
-    return GFScalar(pow(a.value, -1, a.d), a.d)
+_python_ints = np.frompyfunc(int, 1, 1)  # object array -> Python int entries
 
 
 class GFMatrix:
-    """Dense matrix over Z_d backed by a row-major integer array."""
+    """Dense matrix over Z_d; reduced entries in an ``exact_dtype(d)`` array."""
 
     __slots__ = ("entries", "d")
 
     def __init__(self, entries, d: int):
         self.d = check_modulus(d)
-        arr = np.array(entries, dtype=np.int64)
+        dtype = exact_dtype(self.d)
+        arr = np.array(entries, dtype=dtype)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
+        if dtype is object:
+            arr = _python_ints(arr)
         self.entries = arr % self.d
 
     @classmethod
@@ -96,9 +90,6 @@ class GFMatrix:
     def T(self) -> "GFMatrix":
         return GFMatrix(self.entries.T, self.d)
 
-    def copy(self) -> "GFMatrix":
-        return GFMatrix(self.entries.copy(), self.d)
-
     def to_lists(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self.entries]
 
@@ -109,7 +100,9 @@ class GFMatrix:
             raise DimensionMismatch(f"moduli differ: {self.d} vs {other.d}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return GFMatrix(self.entries @ other.entries, self.d)
+        dtype = exact_dtype(self.d, self.cols)
+        product = self.entries.astype(dtype) @ other.entries.astype(dtype)
+        return GFMatrix(product % self.d, self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GFMatrix):
@@ -178,7 +171,7 @@ def nullspace_basis(matrix: GFMatrix) -> list[np.ndarray]:
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        v = np.zeros(n_cols, dtype=np.int64)
+        v = np.zeros(n_cols, dtype=R.dtype)
         v[free] = 1
         for row_idx, p in enumerate(pivots):
             v[p] = (-R[row_idx, free]) % d
@@ -192,7 +185,7 @@ def invert(matrix: GFMatrix) -> GFMatrix:
         raise DimensionMismatch(f"cannot invert a {matrix.shape} matrix")
     n = matrix.rows
     aug = GFMatrix(
-        np.hstack([matrix.entries, np.eye(n, dtype=np.int64)]), matrix.d
+        np.hstack([matrix.entries, np.eye(n, dtype=matrix.entries.dtype)]), matrix.d
     )
     R, pivots = _row_echelon(aug, pivot_cols=n)
     if len(pivots) < n:
@@ -210,8 +203,8 @@ def rank_stack(stack: np.ndarray, d: int) -> np.ndarray:
     to zero.  The cleared column is then dropped, and the rank is the
     number of columns that found a pivot.
 
-    Entries must be reduced mod d, and products of two residues must fit
-    the stack's dtype (int64 below d ~ 3e9, object dtype beyond).
+    Entries must be reduced mod d, in a dtype at least as wide as
+    ``exact_dtype(d)``.
     """
     R = np.asarray(stack)
     ranks = np.zeros(R.shape[0], dtype=np.int64)

@@ -10,8 +10,8 @@ the commutation phase of every pair of elements through the bilinear form
 
 Bounds that depend only on gamma (clique number of the commutation graph,
 sum-of-squares bound, energy bound for odd d) are computed in exact
-integer arithmetic; the brute-force clique and coloring searches here are
-the independent cross-checks for them.
+integer arithmetic, form values as plain ints in [0, d); the brute-force
+clique and coloring searches here are the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EvenDimension,
+    GammaMismatch,
     InternalParity,
-    NotAntisymmetric,
     PhaseViolation,
     TooLarge,
 )
-from .gf import GFMatrix, GFScalar, check_modulus, nullspace_basis, rank
-from .pauli import PauliOperator, commutator_matrix, exponent_tableau
+from .gf import GFMatrix, check_modulus, nullspace_basis, rank
+from .pauli import PauliOperator, commutator_matrix, exponent_tableau, ordered_product
 from .symplectic import check_antisymmetric
 
 DEFAULT_VERTEX_CAP = 256
@@ -92,7 +92,7 @@ class GroupSpec:
                             "apply canonical_unit_phase first"
                         )
                 if generating_graph(gens) != self.gamma:
-                    raise ValueError(
+                    raise GammaMismatch(
                         "gamma disagrees with the generators' commutators"
                     )
 
@@ -121,16 +121,15 @@ class GroupSpec:
         return self.d ** self.k
 
 
-def frustration_exponent(I, J, gamma: GFMatrix) -> GFScalar:
-    """Bilinear form value Gamma(I, J) = I . gamma . J mod d."""
-    Iv = np.asarray(I, dtype=np.int64)
-    Jv = np.asarray(J, dtype=np.int64)
+def frustration_exponent(I, J, gamma: GFMatrix) -> int:
+    """Bilinear form value Gamma(I, J) = I . gamma . J mod d, in Python ints."""
+    Iv, Jv = np.asarray(I).astype(object), np.asarray(J).astype(object)
     if Iv.shape != (gamma.rows,) or Jv.shape != (gamma.cols,):
         raise DimensionMismatch(
             f"index lengths {Iv.shape}, {Jv.shape} do not match gamma "
             f"{gamma.shape}"
         )
-    return GFScalar(int(Iv @ gamma.entries @ Jv), gamma.d)
+    return int(Iv @ gamma.entries.astype(object) @ Jv) % gamma.d
 
 
 def element_indices(d: int, k: int) -> list[Index]:
@@ -323,13 +322,9 @@ def concrete_elements(spec: GroupSpec) -> list[tuple[Index, PauliOperator]]:
     """
     if spec.generators is None:
         raise ValueError("concrete generators are required")
-    gens = spec.generators
-    n_sites = gens[0].n_sites if gens else 0
-    out: list[tuple[Index, PauliOperator]] = []
-    for I in element_indices(spec.d, spec.k):
-        op = PauliOperator.identity(spec.d, n_sites)
-        for t_op, e in zip(gens, I):
-            if e:
-                op = op * (t_op ** e)
-        out.append((I, op))
-    return out
+    if not spec.generators:
+        return [((), PauliOperator.identity(spec.d, 0))]
+    return [
+        (I, ordered_product(spec.generators, I))
+        for I in element_indices(spec.d, spec.k)
+    ]

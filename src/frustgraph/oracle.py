@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
 from .gf import check_modulus
 from .group import GroupSpec, concrete_elements, sum_bound
-from .pauli import PauliOperator, SiteSubset
+from .pauli import PauliOperator, SiteSubset, ordered_product
 from .stabilizer import Stabilizer
 from .symplectic import canonical_form
 
@@ -114,11 +114,12 @@ def verify_swap_identity(d: int) -> float:
     return float(np.max(np.abs(acc - swap)))
 
 
-def _dense_elements(spec: GroupSpec) -> list[np.ndarray]:
-    mats = []
+def _element_sum(spec: GroupSpec, dim: int) -> np.ndarray:
+    """Sum of the dense matrices of all elements, in concrete_elements order."""
+    total = np.zeros((dim, dim), dtype=np.complex128)
     for _, op in concrete_elements(spec):
-        mats.append(dense_pauli(op))
-    return mats
+        total += dense_pauli(op)
+    return total
 
 
 def _sos_value(mats: list[np.ndarray], psi: np.ndarray) -> float:
@@ -138,13 +139,10 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     dim = d ** gens[0].n_sites if gens else 1
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
-    subgroup = []
-    for c in cols:
-        op = PauliOperator.identity(d, gens[0].n_sites)
-        for t_op, e in zip(gens, cf.O.entries[:, c]):
-            if e:
-                op = op * (t_op ** int(e))
-        subgroup.append(op.canonical_unit_phase())
+    subgroup = [
+        ordered_product(gens, cf.O.entries[:, c]).canonical_unit_phase()
+        for c in cols
+    ]
 
     basis = np.eye(dim, dtype=np.complex128)
     omega = np.exp(2j * np.pi / d)
@@ -183,7 +181,7 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     dim = spec.d ** spec.generators[0].n_sites
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    mats = _dense_elements(spec)
+    mats = [dense_pauli(op) for _, op in concrete_elements(spec)]
     rng = cfg.rng()
     best = 0.0
     for _ in range(cfg.restarts):
@@ -222,9 +220,7 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     dim = spec.d ** spec.generators[0].n_sites
     if dim > ENERGY_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {ENERGY_DIM_CAP}")
-    half = np.zeros((dim, dim), dtype=np.complex128)
-    for _, op in concrete_elements(spec):
-        half += dense_pauli(op)
+    half = _element_sum(spec, dim)
     ham = half + half.conj().T
     top = float(np.linalg.eigvalsh(ham)[-1])
     if top > sum_bound(spec) + BOUND_TOLERANCE:
@@ -242,10 +238,7 @@ def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
     spec = GroupSpec.from_generators(stab.generators)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for _, op in concrete_elements(spec):
-        total += dense_pauli(op)
-    proj = total / stab.d ** stab.k
+    proj = _element_sum(spec, dim) / stab.d ** stab.k
     if np.max(np.abs(proj - proj.conj().T)) > HERMITICITY_TOLERANCE:
         raise RuntimeError("stabilizer projector is not Hermitian")
     if np.max(np.abs(proj @ proj - proj)) > HERMITICITY_TOLERANCE:

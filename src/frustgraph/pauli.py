@@ -7,7 +7,8 @@ plus two exponent vectors,
 
 with X kept to the left of Z on every site.  Reordering a Z past an X on
 one site costs a factor omega = exp(2*pi*i/d), so products, powers and
-inverses reduce to integer bookkeeping on (p, a, b).
+inverses reduce to integer bookkeeping on (p, a, b) in plain Python ints;
+the tableau arrays take their dtype from the one rule, ``gf.exact_dtype``.
 
 The phase unit zeta is omega itself for odd d and the quarter turn i for
 d = 2.  For odd d the reachable phases are exactly the powers of omega;
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSubset, DimensionMismatch
-from .gf import GFScalar, check_modulus
+from .gf import check_modulus, exact_dtype
 
 
 def phase_modulus(d: int) -> int:
@@ -190,8 +191,20 @@ class PauliOperator:
         ).canonical_unit_phase()
 
 
-def commutator_exponent(p: PauliOperator, q: PauliOperator) -> GFScalar:
-    """Exponent sigma in p q p^-1 q^-1 = omega^sigma 1.
+def ordered_product(ops, exponents) -> PauliOperator:
+    """Exact ops[0]^e_0 * ... * ops[k-1]^e_{k-1}; zero exponents are skipped."""
+    ops = tuple(ops)
+    if not ops:
+        raise DimensionMismatch("ordered_product needs at least one operator")
+    result = PauliOperator.identity(ops[0].d, ops[0].n_sites)
+    for op, e in zip(ops, exponents):
+        if e:
+            result = result * (op ** int(e))
+    return result
+
+
+def commutator_exponent(p: PauliOperator, q: PauliOperator) -> int:
+    """Exponent sigma in [0, d) with p q p^-1 q^-1 = omega^sigma 1.
 
     Equals b_p . a_q - a_p . b_q mod d; the operators' phases are scalars
     and cancel, so they never influence the result.
@@ -201,17 +214,7 @@ def commutator_exponent(p: PauliOperator, q: PauliOperator) -> GFScalar:
     value = sum(x * y for x, y in zip(p.b, q.a)) - sum(
         x * y for x, y in zip(p.a, q.b)
     )
-    return GFScalar(value, d)
-
-
-def tableau_dtype(d: int, n_sites: int):
-    """int64 when every sum of n_sites exponent products fits, else object.
-
-    Tableau arithmetic sums at most n_sites products of two residues mod d
-    before reducing, so int64 is exact while 2 n (d-1)^2 < 2^63; above
-    that the arrays hold Python ints, which never overflow.
-    """
-    return np.int64 if 2 * n_sites * (d - 1) ** 2 < 2 ** 63 else object
+    return value % d
 
 
 def exponent_tableau(ops) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +227,7 @@ def exponent_tableau(ops) -> tuple[np.ndarray, np.ndarray]:
     first = ops[0]
     for op in ops[1:]:
         first._check_compatible(op)
-    dtype = tableau_dtype(first.d, first.n_sites)
+    dtype = exact_dtype(first.d, 2 * first.n_sites)  # B A^T - A B^T: 2n terms
     A = np.array([op.a for op in ops], dtype=dtype)
     B = np.array([op.b for op in ops], dtype=dtype)
     return A, B

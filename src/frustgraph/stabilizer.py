@@ -19,9 +19,9 @@ graph is B A^T - A B^T mod d, and gamma_Q is the same product over the
 columns of the sites in Q.  The bipartition scan takes cuts in blocks of
 SCAN_BLOCK: one masked product over the tableau gives gamma_Q for every
 cut of the block, and one elimination vectorised over the block gives
-all their ranks.  The tableau is int64 when 2 n (d-1)^2 < 2^63, so that
-no sum of exponent products can overflow, and holds exact Python ints
-otherwise.
+all their ranks.  The tableau dtype comes from ``gf.exact_dtype``: int64
+when 2 n (d-1)^2 < 2^63, so that no sum of exponent products can
+overflow, and exact Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ from .errors import (
     UnknownCode,
 )
 from .gf import GFMatrix, nullspace_basis, rank, rank_stack
-from .pauli import PauliOperator, SiteSubset, commutator_matrix, exponent_tableau
+from .pauli import (
+    PauliOperator,
+    SiteSubset,
+    commutator_matrix,
+    exponent_tableau,
+    ordered_product,
+)
 
 DEFAULT_BIPARTITION_CAP = 2 ** 15 - 1  # handles n_sites up to 16
 # cuts per batched step of the scan; bounds its temporaries to
@@ -121,10 +127,7 @@ class Stabilizer:
         # combinations with identity Pauli part must multiply to exactly 1
         combos = nullspace_basis(GFMatrix(np.hstack([self._A, self._B]).T, d))
         for combo in combos:
-            prod = ident
-            for g, e in zip(gens, combo):
-                if e:
-                    prod = prod * (g ** int(e))
+            prod = ordered_product(gens, combo)
             if prod != ident:
                 raise PhaseViolation(
                     "a generator product with identity Pauli part has "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAntisymmetric
-from .gf import GFMatrix, rank
+from .gf import GFMatrix, exact_dtype, rank
 
 
 def check_antisymmetric(gamma: GFMatrix) -> None:
@@ -47,7 +47,7 @@ def pair_block_matrix(k: int, m: int, d: int) -> GFMatrix:
     """m copies of [[0,-1],[1,0]] followed by a (k-2m) zero block."""
     out = np.zeros((k, k), dtype=np.int64)
     for i in range(m):
-        out[2 * i, 2 * i + 1] = -1 % d
+        out[2 * i, 2 * i + 1] = -1
         out[2 * i + 1, 2 * i] = 1
     return GFMatrix(out, d)
 
@@ -57,34 +57,34 @@ def canonical_form(gamma: GFMatrix) -> CanonicalForm:
     check_antisymmetric(gamma)
     d = gamma.d
     k = gamma.rows
-    g = gamma.entries
-
-    def form(u: np.ndarray, v: np.ndarray) -> int:
-        return int(u @ g @ v) % d
-
-    vectors = [np.eye(k, dtype=np.int64)[:, i] for i in range(k)]
+    # form value u^T g v = ((u^T g) mod d) v: k products of residues twice
+    dtype = exact_dtype(d, k)
+    g = gamma.entries.astype(dtype)
+    vectors = list(np.eye(k, dtype=dtype))
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     while True:
         hit = None
-        for i in range(len(vectors)):
-            for j in range(len(vectors)):
-                if i != j and form(vectors[i], vectors[j]):
-                    hit = (i, j)
+        for i, u in enumerate(vectors):
+            ug = (u @ g) % d
+            for j, v in enumerate(vectors):
+                c = int(ug @ v) % d if j != i else 0
+                if c:
+                    hit = (i, j, c)
                     break
             if hit:
                 break
         if hit is None:
             break
-        i, j = hit
+        i, j, c = hit
         u = vectors[i]
-        c = form(u, vectors[j])
         # rescale the partner so the pair's form value is exactly -1
         w = (vectors[j] * ((-pow(c, -1, d)) % d)) % d
         rest = []
         for t, v in enumerate(vectors):
             if t in (i, j):
                 continue
-            rest.append((v + form(v, w) * u - form(v, u) * w) % d)
+            vg = (v @ g) % d
+            rest.append((v + int(vg @ w) % d * u - int(vg @ u) % d * w) % d)
         pairs.append((u, w))
         vectors = rest
 

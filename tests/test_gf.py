@@ -1,4 +1,4 @@
-"""Exact Z_d linear algebra: inverses, rank, nullspace, matrix inverse."""
+"""Exact Z_d linear algebra: reduction, rank, nullspace, matrix inverse."""
 
 from __future__ import annotations
 
@@ -8,40 +8,20 @@ import pytest
 from frustgraph import (
     DimensionMismatch,
     GFMatrix,
-    GFScalar,
     NonPrimeModulus,
+    PauliOperator,
     Singular,
-    ZeroInverse,
-    field_inverse,
     invert,
     nullspace_basis,
     rank,
 )
 from ref_data import FIVE_QUDIT_CUT_1, FIVE_QUDIT_CUT_12
 
-SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97]
-
-
-def test_field_inverse_examples():
-    assert field_inverse(GFScalar(2, 5)).value == 3
-    assert field_inverse(GFScalar(1, 7)).value == 1
-    with pytest.raises(ZeroInverse):
-        field_inverse(GFScalar(0, 3))
-
-
-def test_field_inverse_exhaustive_small_primes():
-    for d in SMALL_PRIMES:
-        for a in range(1, d):
-            inv = field_inverse(GFScalar(a, d)).value
-            assert (a * inv) % d == 1
-
-
 def test_scalar_reduction_and_primality():
-    assert GFScalar(-1, 5).value == 4
-    assert GFScalar(12, 5).value == 2
+    assert GFMatrix([[-1, 12]], 5).to_lists() == [[4, 2]]
+    assert PauliOperator(5, (-1,), (12,), -1) == PauliOperator(5, (4,), (2,), 4)
     with pytest.raises(NonPrimeModulus):
-        GFScalar(1, 4)
+        PauliOperator(4, (1,), (0,))
     with pytest.raises(NonPrimeModulus):
         GFMatrix([[0]], 1)
 

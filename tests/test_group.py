@@ -9,7 +9,9 @@ import pytest
 
 from frustgraph import (
     EvenDimension,
+    FrustGraphError,
     GFMatrix,
+    GammaMismatch,
     GroupSpec,
     InternalParity,
     PauliOperator,
@@ -19,6 +21,7 @@ from frustgraph import (
     clique_number,
     clique_number_bruteforce,
     commutation_graph,
+    concrete_elements,
     element_indices,
     frustration_exponent,
     generating_graph,
@@ -64,9 +67,9 @@ def test_generating_graph_single_generator():
 
 def test_frustration_exponent_examples():
     gamma = GFMatrix([[0, -1], [1, 0]], 2)
-    assert frustration_exponent((1, 0), (1, 1), gamma).value == 1
-    assert frustration_exponent((1, 1), (1, 1), gamma).value == 0
-    assert frustration_exponent((0, 0), (1, 1), gamma).value == 0
+    assert frustration_exponent((1, 0), (1, 1), gamma) == 1
+    assert frustration_exponent((1, 1), (1, 1), gamma) == 0
+    assert frustration_exponent((0, 0), (1, 1), gamma) == 0
 
 
 def test_frustration_exponent_matches_dense_commutator():
@@ -138,7 +141,7 @@ def test_central_indices_commute_with_everything():
             I
             for I in everything
             if all(
-                frustration_exponent(I, J, spec.gamma).value == 0
+                frustration_exponent(I, J, spec.gamma) == 0
                 for J in everything
             )
         }
@@ -234,8 +237,8 @@ def test_frustration_antisymmetry_random():
             I = tuple(int(v) for v in rng.integers(0, d, size=k))
             J = tuple(int(v) for v in rng.integers(0, d, size=k))
             total = (
-                frustration_exponent(I, J, gamma).value
-                + frustration_exponent(J, I, gamma).value
+                frustration_exponent(I, J, gamma)
+                + frustration_exponent(J, I, gamma)
             )
             assert total % d == 0
 
@@ -305,3 +308,16 @@ def test_spec_validation():
             GFMatrix.zeros(2, 2, 2),
             (PauliOperator.x(2), PauliOperator.z(2)),
         )
+
+
+def test_spec_gamma_mismatch_is_a_library_error():
+    with pytest.raises(GammaMismatch) as err:
+        GroupSpec(2, GFMatrix.zeros(2, 2, 2), (PauliOperator.x(2), PauliOperator.z(2)))
+    assert isinstance(err.value, FrustGraphError)
+    assert isinstance(err.value, ValueError)
+    assert err.value.code == "gamma-mismatch"
+
+
+def test_concrete_elements_of_the_trivial_group():
+    spec = GroupSpec(3, GFMatrix.zeros(0, 0, 3), generators=())
+    assert concrete_elements(spec) == [((), PauliOperator.identity(3, 0))]

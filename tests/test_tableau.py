@@ -26,15 +26,15 @@ from frustgraph import (
     rank,
 )
 from frustgraph.cli import parse_document
-from frustgraph.gf import rank_stack
-from frustgraph.pauli import commutator_matrix, tableau_dtype
+from frustgraph.gf import exact_dtype, rank_stack
+from frustgraph.pauli import commutator_matrix, exponent_tableau
 from frustgraph.stabilizer import SCAN_BLOCK
 
 BIG_PRIME = 2 ** 31 - 1  # int64 products of two residues fit, sums of three do not
 
 
 def scalar_graph(ops) -> list[list[int]]:
-    return [[commutator_exponent(p, q).value for q in ops] for p in ops]
+    return [[commutator_exponent(p, q) for q in ops] for p in ops]
 
 
 def assert_scan_matches_scalar(stab: Stabilizer) -> None:
@@ -125,9 +125,9 @@ def test_scan_spanning_several_blocks():
 
 def test_scan_exact_at_large_prime():
     # n = 3 at d = 2^31 - 1 puts the tableau in object dtype
-    assert tableau_dtype(BIG_PRIME, 3) is object
     big = BIG_PRIME - 1
     stab = graph_state(BIG_PRIME, [[0, big, big - 1], [big, 0, big], [big - 1, big, 0]])
+    assert exponent_tableau(stab.generators)[0].dtype == object
     assert_scan_matches_scalar(stab)
 
 
@@ -174,7 +174,7 @@ def test_tableau_dtype_switches_where_int64_would_overflow(n):
     top = math.isqrt((2 ** 63 - 1) // (2 * n))
     assert 2 * n * top ** 2 < 2 ** 63 <= 2 * n * (top + 1) ** 2
     for d, dtype in ((top + 1, np.int64), (top + 2, object)):
-        assert tableau_dtype(d, n) is dtype
+        assert exact_dtype(d, 2 * n) is dtype
         A = np.full((2, n), d - 1, dtype=dtype)
         B = A.copy()
         B[1] = 1

@@ -10,31 +10,61 @@ derived basis reproducible.
 Scalars of Z_d are plain Python ints.  Integer arrays follow one rule,
 ``exact_dtype``: int64 while no sum they hold can overflow it, Python ints
 (object dtype) beyond that, so every result is exact whatever d is.
+Moduli are proven prime by deterministic Miller-Rabin (``is_prime``),
+which is exact below MILLER_RABIN_BOUND; a larger d is refused.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPrimeModulus, Singular
+from .errors import DimensionMismatch, NonPrimeModulus, Singular, TooLarge
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# Miller-Rabin with the 13 bases _SMALL_PRIMES is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2017)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; moduli in this library are small."""
+    """Exact primality test for n below MILLER_RABIN_BOUND.
+
+    Trial division by the primes up to 41, then deterministic
+    Miller-Rabin with those primes as bases.  Larger n is refused with
+    ``TooLarge``, since no answer could be proven.
+    """
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise TooLarge(
+            f"cannot prove {n} prime: moduli must be below {MILLER_RABIN_BOUND}"
+        )
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in _SMALL_PRIMES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
 def check_modulus(d: int) -> int:
     """Return ``d`` as a plain int, rejecting non-prime moduli."""
     d = int(d)
-    if not is_prime(d):
+    if d not in _SMALL_PRIME_SET and not is_prime(d):  # the common moduli skip the call
         raise NonPrimeModulus(f"modulus must be a prime, got {d}")
     return d
 

@@ -4,15 +4,25 @@ Nothing in this module is needed to compute the bounds or the
 entanglement measures; it exists to check them numerically at desk scale.
 The symbolic layer predicts phases, commutators, extremal eigenvalues and
 product-state overlaps, and the routines here rebuild the same quantities
-from explicit complex matrices:
+from explicit complex vectors and matrices:
 
 * ``dense_pauli``       faithful matrix realisation of a symbolic operator
 * ``verify_swap_identity``  the two-qudit swap as a normalised Weyl sum
 * ``max_sos``           maximise sum |<A>|^2 over the group, two ways
 * ``max_sum_eigenvalue``    top eigenvalue of sum (A + A^dagger)
-* ``max_product_overlap``   alternating product-state ascent on a projector
+* ``max_product_overlap``   alternating product-state ascent on the code space
 * ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2 found numerically
 * ``theta_state``       the single-site state saturating the energy bound
+
+The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
+basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
+plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
+derives idx and the exact phase exponents of many operators at once from
+their integer exponents.  ``max_sos`` applies every group element that
+way, ``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
+tables into one dense sum, and ``max_product_overlap`` works on an
+orthonormal basis of the code space, the unit-eigenvalue eigenvectors of
+``stabilizer_projector``, built once per ``Stabilizer`` and cached on it.
 
 Random restarts use a counter-based Philox generator, so every optimizer
 run is reproducible from its seed.
@@ -21,6 +31,7 @@ run is reproducible from its seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +40,13 @@ import numpy as np
 from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
 from .gf import check_modulus
 from .group import GroupSpec, concrete_elements, sum_bound
-from .pauli import PauliOperator, SiteSubset, ordered_product
+from .pauli import (
+    PauliOperator,
+    SiteSubset,
+    omega_units,
+    ordered_product,
+    phase_modulus,
+)
 from .stabilizer import Stabilizer
 from .symplectic import canonical_form
 
@@ -37,6 +54,8 @@ DENSE_DIM_CAP = 4096
 ENERGY_DIM_CAP = 1024
 OVERLAP_DIM_CAP = 1024
 SWAP_D_CAP = 11
+# entries per block of action tables scattered into a dense element sum
+_TABLE_ENTRIES = 2 ** 20
 
 # named tolerances, also surfaced by the test suite
 SWAP_TOLERANCE = 1e-12
@@ -114,16 +133,43 @@ def verify_swap_identity(d: int) -> float:
     return float(np.max(np.abs(acc - swap)))
 
 
+def _action_tables(ops, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and phases of operators on the d^n basis states.
+
+    Returns (m, d^n) arrays idx and ph with A_i psi == ph[i] * psi[idx[i]]
+    for the i-th of m operators, site 1 the most significant digit as in
+    ``dense_pauli``.  Output state x comes from y = x - a; its phase is
+    zeta^t with t = phase_exp + omega_units(d, b.y) reduced exactly mod
+    ``phase_modulus(d)`` and then looked up in one table of zeta powers.
+    """
+    ops = tuple(ops)
+    A = np.array([op.a for op in ops], dtype=np.int64).reshape(len(ops), n)
+    B = np.array([op.b for op in ops], dtype=np.int64).reshape(len(ops), n)
+    states = np.arange(d ** n)
+    idx = np.zeros((len(ops), d ** n), dtype=np.int64)
+    dot = np.zeros_like(idx)
+    for j in range(n):
+        y = (states // d ** (n - 1 - j) - A[:, j : j + 1]) % d
+        idx = idx * d + y
+        dot = (dot + B[:, j : j + 1] * y) % d
+    modulus = phase_modulus(d)
+    units = np.array([op.phase_exp for op in ops], dtype=np.int64)[:, None]
+    zeta = np.exp(2j * np.pi * np.arange(modulus) / modulus)
+    return idx, zeta[(units + omega_units(d, dot)) % modulus]
+
+
 def _element_sum(spec: GroupSpec, dim: int) -> np.ndarray:
-    """Sum of the dense matrices of all elements, in concrete_elements order."""
+    """Dense sum of all elements, scattered from their action tables.
+
+    Elements are taken in concrete_elements order, _TABLE_ENTRIES // dim
+    at a time, so the tables stay small however many elements there are.
+    """
+    elements = (op for _, op in concrete_elements(spec))
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for _, op in concrete_elements(spec):
-        total += dense_pauli(op)
+    while chunk := list(itertools.islice(elements, max(1, _TABLE_ENTRIES // dim))):
+        idx, ph = _action_tables(chunk, spec.d, spec.generators[0].n_sites)
+        np.add.at(total, (np.broadcast_to(np.arange(dim), idx.shape), idx), ph)
     return total
-
-
-def _sos_value(mats: list[np.ndarray], psi: np.ndarray) -> float:
-    return float(sum(abs(np.vdot(psi, m @ psi)) ** 2 for m in mats))
 
 
 def _commuting_witness(spec: GroupSpec) -> np.ndarray:
@@ -132,11 +178,12 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     The subgroup is generated by the first member of every canonical-form
     pair together with the kernel directions; the vector is refined
     through the exact eigenprojectors (1/d) sum_s omega^{-ts} B^s of each
-    generator in turn.
+    generator in turn, applied through the action tables.
     """
     gens = spec.generators
     d = spec.d
-    dim = d ** gens[0].n_sites if gens else 1
+    n = gens[0].n_sites if gens else 0
+    dim = d ** n
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
     subgroup = [
@@ -147,13 +194,10 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     basis = np.eye(dim, dtype=np.complex128)
     omega = np.exp(2j * np.pi / d)
     for op in subgroup:
-        dense = dense_pauli(op)
-        powers = [np.eye(dim, dtype=np.complex128)]
-        for _ in range(d - 1):
-            powers.append(powers[-1] @ dense)
+        idx, ph = _action_tables([op ** s for s in range(d)], d, n)
+        powers = ph[:, :, None] * basis[idx]  # op^s applied to the basis, s in [0, d)
         for t in range(d):
-            projector = sum(omega ** (-t * s) * powers[s] for s in range(d)) / d
-            candidate = projector @ basis
+            candidate = np.tensordot(omega ** (-t * np.arange(d)) / d, powers, axes=1)
             u, sing, _ = np.linalg.svd(candidate, full_matrices=False)
             keep = int(np.sum(sing > RANK_CUTOFF))
             if keep:
@@ -172,37 +216,43 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     exact value at a joint eigenvector of a maximal commuting subgroup.
     Route (b) attains the clique-number bound, so the result equals it up
     to rounding; route (a) is the independent heuristic check from below.
+    Every element acts through its action table: one gather gives all
+    A psi, from which the expectations, the value and the next iterate
+    follow.
     """
     cfg = cfg or OptimizerConfig()
     if spec.generators is None:
         raise ValueError("max_sos needs concrete generators")
     if spec.k == 0:
         return 1.0  # only the identity element; <1> = 1 in any state
-    dim = spec.d ** spec.generators[0].n_sites
+    n = spec.generators[0].n_sites
+    dim = spec.d ** n
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    mats = [dense_pauli(op) for _, op in concrete_elements(spec)]
+    idx, ph = _action_tables([op for _, op in concrete_elements(spec)], spec.d, n)
+
+    def evaluate(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Rows A psi, expectations <psi|A|psi> and their sum of squares."""
+        applied = ph * psi[idx]
+        ev = applied @ psi.conj()
+        return applied, ev, float(np.sum(np.abs(ev) ** 2))
+
     rng = cfg.rng()
     best = 0.0
     for _ in range(cfg.restarts):
-        psi = _random_unit(rng, dim)
-        value = _sos_value(mats, psi)
+        applied, ev, value = evaluate(_random_unit(rng, dim))
         for _ in range(cfg.max_iters):
-            phi = np.zeros(dim, dtype=np.complex128)
-            for m in mats:
-                phi += np.conj(np.vdot(psi, m @ psi)) * (m @ psi)
+            phi = ev.conj() @ applied
             norm = np.linalg.norm(phi)
             if norm < 1e-300:
                 break
-            psi = phi / norm
-            new_value = _sos_value(mats, psi)
+            applied, ev, new_value = evaluate(phi / norm)
             if abs(new_value - value) < cfg.tol:
                 value = new_value
                 break
             value = new_value
         best = max(best, value)
-    witness = _sos_value(mats, _commuting_witness(spec))
-    return float(max(best, witness))
+    return float(max(best, evaluate(_commuting_witness(spec))[2]))
 
 
 def max_sum_eigenvalue(spec: GroupSpec) -> float:
@@ -246,6 +296,41 @@ def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
     return proj
 
 
+def _code_basis(stab: Stabilizer) -> np.ndarray:
+    """Orthonormal d^n x d^(n-k) basis of the stabilized subspace.
+
+    Built once per stabilizer and cached on it: the eigenvectors of
+    ``stabilizer_projector`` with eigenvalue above 1/2 span the code space.
+    """
+    stab.validate()
+    if stab._code_basis is None:
+        vals, vecs = np.linalg.eigh(stabilizer_projector(stab))
+        basis = vecs[:, vals > 0.5]
+        want = stab.d ** (stab.n_sites - stab.k)
+        if basis.shape[1] != want:
+            raise RuntimeError(
+                f"code projector has {basis.shape[1]} unit eigenvalues, "
+                f"expected {want}"
+            )
+        stab._code_basis = basis
+    return stab._code_basis
+
+
+def _top_left(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of w w^dagger and a unit eigenvector of it.
+
+    Diagonalises the smaller of w w^dagger and w^dagger w; both share
+    their nonzero eigenvalues, and w maps eigenvectors of the second to
+    those of the first.
+    """
+    if w.shape[1] < w.shape[0]:
+        vals, vecs = np.linalg.eigh(w.conj().T @ w)
+        vec = w @ vecs[:, -1]
+        return float(vals[-1]), vec / np.linalg.norm(vec)
+    vals, vecs = np.linalg.eigh(w @ w.conj().T)
+    return float(vals[-1]), vecs[:, -1]
+
+
 def max_product_overlap(
     stab: Stabilizer, subset: SiteSubset, cfg: OptimizerConfig | None = None
 ) -> float:
@@ -253,8 +338,11 @@ def max_product_overlap(
 
     Alternating maximisation: with one factor fixed, the optimum of the
     other is the top eigenvector of the partially contracted projector.
-    The result is a certified lower bound on the true maximum; with
-    restarts it reaches it for the desk-scale cases tested here.
+    With P = V V^dagger for the cached code basis V, contracting V with
+    the fixed factor gives a matrix W whose W W^dagger is that contracted
+    projector.  The result is a certified lower bound on the true
+    maximum; with restarts it reaches it for the desk-scale cases tested
+    here.
     """
     cfg = cfg or OptimizerConfig()
     stab.validate()
@@ -267,33 +355,24 @@ def max_product_overlap(
     if not subset.is_proper:
         raise BadSubset("bipartition side must be a proper subset")
 
-    proj = stabilizer_projector(stab)
     q_axes = [i - 1 for i in subset.indices]
     rest_axes = [i for i in range(n) if i not in set(q_axes)]
-    perm = q_axes + rest_axes
     dim_q = d ** len(q_axes)
-    dim_rest = dim // dim_q
-    tensor = (
-        proj.reshape((d,) * (2 * n))
-        .transpose(perm + [n + p for p in perm])
-        .reshape(dim_q, dim_rest, dim_q, dim_rest)
+    code = (
+        _code_basis(stab)
+        .reshape((d,) * n + (-1,))
+        .transpose(q_axes + rest_axes + [n])
+        .reshape(dim_q, dim // dim_q, -1)
     )
 
     rng = cfg.rng()
     best = 0.0
     for _ in range(cfg.restarts):
-        chi = _random_unit(rng, dim_rest)
+        chi = _random_unit(rng, dim // dim_q)
         value = -1.0
         for _ in range(cfg.max_iters):
-            m_phi = np.einsum("a,iajb,b->ij", chi.conj(), tensor, chi)
-            m_phi = (m_phi + m_phi.conj().T) / 2
-            _, vecs = np.linalg.eigh(m_phi)
-            phi = vecs[:, -1]
-            m_chi = np.einsum("i,iajb,j->ab", phi.conj(), tensor, phi)
-            m_chi = (m_chi + m_chi.conj().T) / 2
-            vals, vecs = np.linalg.eigh(m_chi)
-            chi = vecs[:, -1]
-            new_value = float(vals[-1])
+            _, phi = _top_left(chi.conj() @ code)
+            new_value, chi = _top_left(phi.conj() @ code.transpose(1, 0, 2))
             if abs(new_value - value) < cfg.tol:
                 value = new_value
                 break

@@ -94,6 +94,7 @@ class Stabilizer:
         self.generators = gens
         self._A, self._B = exponent_tableau(gens)
         self._validated = False
+        self._code_basis = None  # dense code-space basis, built by the oracle
 
     @property
     def k(self) -> int:

@@ -25,7 +25,7 @@ from frustgraph import (
     rank,
 )
 from frustgraph.cli import main
-from frustgraph.gf import exact_dtype
+from frustgraph.gf import MILLER_RABIN_BOUND, exact_dtype
 from frustgraph.symplectic import pair_block_matrix
 
 P31 = 2 ** 31 - 1
@@ -164,11 +164,15 @@ def test_frustration_exponent_exact():
     assert type(frustration_exponent((1, 0), (0, 1), gamma)) is int
 
 
-BIG_DOCUMENT = f"""d={P32} n=2 mode=group
-g1: X^{P32 - 1}Z^{P32 - 2} X^{P32 - 3}Z^{P32 - 1}
-g2: X^{P32 - 2}Z^{P32 - 1} Z^{P32 - 5}
-g3: X^{P32 - 7} X^{P32 - 1}Z^{P32 - 3}
+def big_document(p: int) -> str:
+    return f"""d={p} n=2 mode=group
+g1: X^{p - 1}Z^{p - 2} X^{p - 3}Z^{p - 1}
+g2: X^{p - 2}Z^{p - 1} Z^{p - 5}
+g3: X^{p - 7} X^{p - 1}Z^{p - 3}
 """
+
+
+BIG_DOCUMENT = big_document(P32)
 
 
 def test_cli_exact_above_two_to_the_32(tmp_path, capsys):
@@ -184,3 +188,21 @@ def test_cli_exact_above_two_to_the_32(tmp_path, capsys):
     O, g = canonical["O"], canonical["gamma"]
     Ot = [list(col) for col in zip(*O)]
     assert ref_matmul(ref_matmul(Ot, g, P32), O, P32) == pair_block_matrix(3, 1, P32).to_lists()
+
+
+def test_cli_exact_at_ten_to_the_eighteen(tmp_path, capsys):
+    p = 10 ** 18 + 3  # prime; trial division up to its square root never ends
+    path = tmp_path / "huge.txt"
+    path.write_text(big_document(p), encoding="utf-8")
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    analyze = json.loads(capsys.readouterr().out)["result"]
+    assert analyze["rank"] == 2 == ref_rank(analyze["gamma"], p)
+    assert main(["canonical", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["rank"] == 2
+
+
+def test_cli_refuses_a_modulus_it_cannot_prove_prime(tmp_path, capsys):
+    path = tmp_path / "beyond.txt"
+    path.write_text(big_document(MILLER_RABIN_BOUND + 2), encoding="utf-8")
+    assert main(["analyze", str(path), "--format", "json"]) == 2
+    assert "too-large" in capsys.readouterr().err

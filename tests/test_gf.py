@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustgraph import (
     DimensionMismatch,
@@ -11,11 +13,63 @@ from frustgraph import (
     NonPrimeModulus,
     PauliOperator,
     Singular,
+    TooLarge,
     invert,
+    is_prime,
     nullspace_basis,
     rank,
 )
+from frustgraph.gf import MILLER_RABIN_BOUND, check_modulus
 from ref_data import FIVE_QUDIT_CUT_1, FIVE_QUDIT_CUT_12
+
+
+def trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(min_value=-5, max_value=2 * 10 ** 5 - 1))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division(n)
+
+
+def test_is_prime_exhaustive_below_ten_thousand():
+    assert [n for n in range(10 ** 4) if is_prime(n)] == [
+        n for n in range(10 ** 4) if trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+        561,  # Carmichael numbers
+        41041,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+    with pytest.raises(NonPrimeModulus):
+        check_modulus(n)
+
+
+@pytest.mark.parametrize(
+    "p", [2 ** 31 - 1, 4294967311, 2 ** 61 - 1, 10 ** 18 + 3]
+)
+def test_is_prime_accepts_large_primes(p):
+    assert is_prime(p)
+    assert check_modulus(p) == p
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    assert isinstance(is_prime(MILLER_RABIN_BOUND - 2), bool)
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 2 ** 89 - 1):
+        with pytest.raises(TooLarge):
+            is_prime(n)
+        with pytest.raises(TooLarge):
+            check_modulus(n)
 
 def test_scalar_reduction_and_primality():
     assert GFMatrix([[-1, 12]], 5).to_lists() == [[4, 2]]

@@ -4,13 +4,19 @@
 ``frustgraph <command> docs/inputs/<stem>.txt --format json``, and
 ``<stem>.<command>.txt`` the stdout of the same command with
 ``--format text``; ``ghz_d3_n10`` is ``--builtin ghz --d 3 --n 10``, whose
-511 cuts span more than one block of the bipartition scan.  Regenerate a
+511 cuts span more than one block of the bipartition scan.
+``tests/golden/verify/<stem>.json`` holds the default ``verify`` report of
+every stabilizer-mode document (and of the builtin five-qudit code at
+d = 3); those match byte for byte except each check's ``deviation``, a
+rounding residue that must stay within its ``tolerance``.  Regenerate a
 file only when a report is meant to change.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
+import re
 
 import pytest
 
@@ -19,7 +25,12 @@ from frustgraph.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS_DIR = ROOT / "docs" / "inputs"
 GOLDEN_DIR = ROOT / "tests" / "golden"
-BUILTINS = {"ghz_d3_n10": ["--builtin", "ghz", "--d", "3", "--n", "10"]}
+VERIFY_DIR = GOLDEN_DIR / "verify"
+BUILTINS = {
+    "ghz_d3_n10": ["--builtin", "ghz", "--d", "3", "--n", "10"],
+    "five_qudit_d3": ["--builtin", "five_qudit", "--d", "3"],
+}
+DEVIATION = re.compile(r'"deviation": "[^"]*"')
 FORMATS = {".json": "json", ".txt": "text"}
 
 
@@ -28,6 +39,7 @@ def test_every_document_has_golden_reports():
         commands = ["analyze", "canonical"]
         if "mode=stabilizer" in doc.read_text(encoding="utf-8"):
             commands.append("entanglement")
+            assert (VERIFY_DIR / f"{doc.stem}.json").is_file()
         for command in commands:
             for suffix in FORMATS:
                 assert (GOLDEN_DIR / f"{doc.stem}.{command}{suffix}").is_file()
@@ -52,3 +64,17 @@ def test_report_matches_golden(golden, capsys):
 )
 def test_text_report_matches_golden(golden, capsys):
     assert _run(golden, capsys) == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden", sorted(VERIFY_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_verify_report_matches_golden(golden, capsys):
+    source = BUILTINS.get(golden.stem, [str(DOCS_DIR / f"{golden.stem}.txt")])
+    assert main(["verify", *source, "--format", "json"]) == 0
+    got = capsys.readouterr().out
+    want = golden.read_text(encoding="utf-8")
+    blank = '"deviation": "-"'
+    assert DEVIATION.sub(blank, got) == DEVIATION.sub(blank, want)
+    for check in json.loads(got)["result"]["checks"]:
+        assert float(check["deviation"]) <= float(check["tolerance"])

@@ -26,7 +26,7 @@ import json
 import re
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,6 @@ from .errors import (
     InvalidMode,
     ParseError,
 )
-from .gf import rank
 from .group import DEFAULT_VERTEX_CAP, GroupSpec, commutation_graph
 from .group import clique_number, sos_bound, sum_bound
 from .oracle import (
@@ -245,13 +244,7 @@ def serialize_document(doc: InputDocument) -> str:
 def document_from_stabilizer(stab: Stabilizer, mode: str = "stabilizer") -> InputDocument:
     doc = InputDocument(stab.d, stab.n_sites, stab.generators, mode)
     text = serialize_document(doc)
-    return InputDocument(
-        stab.d,
-        stab.n_sites,
-        stab.generators,
-        mode,
-        hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    )
+    return replace(doc, digest=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -291,15 +284,14 @@ class Report:
 
 def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
     spec = GroupSpec.from_generators(doc.generators)
-    r = rank(spec.gamma)
-    nullity = spec.k - r
+    r = spec.gamma_rank
     result = {
         "d": spec.d,
         "n_sites": doc.n_sites,
         "k": spec.k,
         "gamma": spec.gamma.to_lists(),
         "rank": r,
-        "nullity": nullity,
+        "nullity": spec.k - r,
         "clique_number": clique_number(spec),
         "sos_bound": sos_bound(spec),
         "sum_bound": real_str(sum_bound(spec)) if spec.d != 2 else None,
@@ -378,6 +370,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
         raise InvalidMode("sos/sum/overlap checks need an input file or --builtin")
     cfg = flags.optimizer()
     d_abstract = flags.d if flags.d is not None else (doc.d if doc else 3)
+    spec = None  # one GroupSpec per document, built by the first check needing it
     entries: list[dict] = []
     for name in checks:
         if name == "swap":
@@ -402,7 +395,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 _check_entry("theta", abs(total - want), BOUND_TOLERANCE, d=d_abstract)
             )
         elif name == "sos":
-            spec = GroupSpec.from_generators(doc.generators)
+            spec = spec or GroupSpec.from_generators(doc.generators)
             bound = float(sos_bound(spec))
             got = max_sos(spec, cfg)
             entries.append(
@@ -415,7 +408,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 )
             )
         elif name == "sum":
-            spec = GroupSpec.from_generators(doc.generators)
+            spec = spec or GroupSpec.from_generators(doc.generators)
             bound = sum_bound(spec)
             got = max_sum_eigenvalue(spec)
             entries.append(

@@ -16,6 +16,7 @@ clique and coloring searches here are the independent cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,11 +45,9 @@ Index = tuple[int, ...]
 def generating_graph(generators) -> GFMatrix:
     """Antisymmetric matrix of pairwise commutator exponents."""
     generators = tuple(generators)
-    if not generators:
-        raise DimensionMismatch("need at least one generator; use an empty "
-                                "gamma for the trivial group")
+    A, B = exponent_tableau(generators)
     d = generators[0].d
-    return GFMatrix(commutator_matrix(*exponent_tableau(generators), d), d)
+    return GFMatrix(commutator_matrix(A, B, d), d)
 
 
 @dataclass(frozen=True)
@@ -57,44 +56,44 @@ class GroupSpec:
 
     The closed-form bounds depend only on gamma, so abstract specs (no
     generators) are first class; concrete generators are needed only by
-    the dense oracle routines.
+    the dense oracle routines.  Given generators, gamma may be None: it is
+    then derived from them, as ``from_generators`` does, and otherwise
+    checked against them.  ``gamma_rank`` is computed once per spec.
     """
 
     d: int
-    gamma: GFMatrix
+    gamma: GFMatrix | None
     generators: tuple[PauliOperator, ...] | None = None
 
     def __post_init__(self) -> None:
         d = check_modulus(self.d)
         object.__setattr__(self, "d", d)
+        gens = None if self.generators is None else tuple(self.generators)
+        object.__setattr__(self, "generators", gens)
+        derived = generating_graph(gens) if gens else None
+        if self.gamma is None:
+            if derived is None:
+                raise DimensionMismatch("a spec without generators needs gamma")
+            object.__setattr__(self, "gamma", derived)
         if self.gamma.d != d:
             raise DimensionMismatch(
                 f"gamma modulus {self.gamma.d} differs from spec d {d}"
             )
         check_antisymmetric(self.gamma)
-        if self.generators is not None:
-            gens = tuple(self.generators)
-            object.__setattr__(self, "generators", gens)
+        if gens is not None:
             if len(gens) != self.gamma.rows:
                 raise DimensionMismatch(
                     f"{len(gens)} generators but gamma is {self.gamma.shape}"
                 )
-            if gens:
-                n = gens[0].n_sites
-                for t in gens:
-                    if t.d != d or t.n_sites != n:
-                        raise DimensionMismatch(
-                            "generators must share d and site count"
-                        )
-                    if not (t ** d).is_identity:
-                        raise PhaseViolation(
-                            "generator's d-th power is not the identity; "
-                            "apply canonical_unit_phase first"
-                        )
-                if generating_graph(gens) != self.gamma:
-                    raise GammaMismatch(
-                        "gamma disagrees with the generators' commutators"
-                    )
+            if not all(t.has_unit_order for t in gens):
+                raise PhaseViolation(
+                    "generator's d-th power is not the identity; "
+                    "apply canonical_unit_phase first"
+                )
+            if derived is not None and derived != self.gamma:
+                raise GammaMismatch(
+                    "gamma disagrees with the generators' commutators"
+                )
 
     @classmethod
     def from_generators(cls, generators) -> "GroupSpec":
@@ -104,7 +103,7 @@ class GroupSpec:
                 "from_generators needs generators; use from_gamma for "
                 "abstract specs"
             )
-        return cls(gens[0].d, generating_graph(gens), gens)
+        return cls(gens[0].d, None, gens)
 
     @classmethod
     def from_gamma(cls, d: int, gamma) -> "GroupSpec":
@@ -119,6 +118,10 @@ class GroupSpec:
     @property
     def n_elements(self) -> int:
         return self.d ** self.k
+
+    @functools.cached_property
+    def gamma_rank(self) -> int:
+        return rank(self.gamma)
 
 
 def frustration_exponent(I, J, gamma: GFMatrix) -> int:
@@ -202,7 +205,7 @@ def central_subgroup_indices(spec: GroupSpec) -> list[Index]:
 
 def clique_number(spec: GroupSpec) -> int:
     """Closed-form clique number d^((nullity + k)/2) of the commutation graph."""
-    nullity = spec.k - rank(spec.gamma)
+    nullity = spec.k - spec.gamma_rank
     if (nullity + spec.k) % 2:
         raise InternalParity(
             "nullity + k is odd; the input gamma cannot be antisymmetric"
@@ -310,8 +313,8 @@ def sum_bound(spec: GroupSpec) -> float:
     """
     if spec.d == 2:
         raise EvenDimension("the expectation-sum bound requires odd prime d")
-    q = rank(spec.gamma)
-    return 2.0 * clique_number(spec) * ((1.0 + math.sqrt(spec.d)) / 2.0) ** (q // 2)
+    half_rank = spec.gamma_rank // 2
+    return 2.0 * clique_number(spec) * ((1.0 + math.sqrt(spec.d)) / 2.0) ** half_rank
 
 
 def concrete_elements(spec: GroupSpec) -> list[tuple[Index, PauliOperator]]:

@@ -19,7 +19,8 @@ basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
 plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
 derives idx and the exact phase exponents of many operators at once from
 their integer exponents.  ``max_sos`` applies every group element that
-way, ``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
+way and refines a single vector into its commuting witness,
+``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
 tables into one dense sum, and ``max_product_overlap`` works on an
 orthonormal basis of the code space, the unit-eigenvalue eigenvectors of
 ``stabilizer_projector``, built once per ``Stabilizer`` and cached on it.
@@ -43,6 +44,7 @@ from .group import GroupSpec, concrete_elements, sum_bound
 from .pauli import (
     PauliOperator,
     SiteSubset,
+    exponent_tableau,
     omega_units,
     ordered_product,
     phase_modulus,
@@ -65,7 +67,6 @@ EIGEN_RESIDUAL_TOLERANCE = 1e-9
 BOUND_TOLERANCE = 1e-9
 OVERLAP_TOLERANCE = 1e-6
 LAGRANGE_TOLERANCE = 1e-6
-RANK_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ def _action_tables(ops, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``phase_modulus(d)`` and then looked up in one table of zeta powers.
     """
     ops = tuple(ops)
-    A = np.array([op.a for op in ops], dtype=np.int64).reshape(len(ops), n)
-    B = np.array([op.b for op in ops], dtype=np.int64).reshape(len(ops), n)
+    A, B = exponent_tableau(ops)
     states = np.arange(d ** n)
     idx = np.zeros((len(ops), d ** n), dtype=np.int64)
     dot = np.zeros_like(idx)
@@ -176,14 +176,17 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     """A joint eigenvector of a maximal mutually commuting subgroup.
 
     The subgroup is generated by the first member of every canonical-form
-    pair together with the kernel directions; the vector is refined
-    through the exact eigenprojectors (1/d) sum_s omega^{-ts} B^s of each
-    generator in turn, applied through the action tables.
+    pair together with the kernel directions.  Starting from the first
+    basis state, each generator B in turn splits the vector into its parts
+    in the d eigenspaces, through the exact eigenprojectors
+    (1/d) sum_s omega^{-ts} B^s applied by the action tables, and the
+    largest part is kept.  The parts are orthogonal and sum to the vector,
+    so the largest has norm at least 1/sqrt(d); the generators commute, so
+    later projections keep the earlier eigenvalues.
     """
     gens = spec.generators
     d = spec.d
-    n = gens[0].n_sites if gens else 0
-    dim = d ** n
+    n = gens[0].n_sites
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
     subgroup = [
@@ -191,21 +194,16 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
         for c in cols
     ]
 
-    basis = np.eye(dim, dtype=np.complex128)
-    omega = np.exp(2j * np.pi / d)
+    vec = np.zeros(d ** n, dtype=np.complex128)
+    vec[0] = 1.0
     for op in subgroup:
         idx, ph = _action_tables([op ** s for s in range(d)], d, n)
-        powers = ph[:, :, None] * basis[idx]  # op^s applied to the basis, s in [0, d)
-        for t in range(d):
-            candidate = np.tensordot(omega ** (-t * np.arange(d)) / d, powers, axes=1)
-            u, sing, _ = np.linalg.svd(candidate, full_matrices=False)
-            keep = int(np.sum(sing > RANK_CUTOFF))
-            if keep:
-                basis = u[:, :keep]
-                break
-        else:
-            raise RuntimeError("operator with d-th power 1 has no eigenspace")
-    return basis[:, 0]
+        # row t = sum_s omega^{-ts} op^s vec / d, the eigenvalue omega^t part
+        parts = np.fft.fft(ph * vec[idx], axis=0) / d
+        norms = np.linalg.norm(parts, axis=1)
+        t = int(np.argmax(norms))
+        vec = parts[t] / norms[t]
+    return vec
 
 
 def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:

@@ -105,6 +105,17 @@ class PauliOperator:
     def is_identity(self) -> bool:
         return self.phase_exp == 0 and not any(self.a) and not any(self.b)
 
+    @property
+    def has_unit_order(self) -> bool:
+        """Whether self ** d is the identity, in closed form.
+
+        Always for odd d, where (X^a Z^b)^d = omega^(d(d-1)/2 a.b) = 1; for
+        d = 2 the square is i^(2p) (-1)^(a.b), so p + a.b must be even.
+        """
+        if self.d != 2:
+            return True
+        return (self.phase_exp + sum(x * y for x, y in zip(self.a, self.b))) % 2 == 0
+
     def _check_compatible(self, other: "PauliOperator") -> None:
         if self.d != other.d:
             raise DimensionMismatch(f"moduli differ: {self.d} vs {other.d}")
@@ -221,9 +232,13 @@ def exponent_tableau(ops) -> tuple[np.ndarray, np.ndarray]:
     """X and Z exponents of operators sharing d and n as (k, n) arrays A, B.
 
     Row i of A (of B) is the X (the Z) exponent vector of the i-th
-    operator; phases are dropped, since commutators never see them.
+    operator; phases are dropped, since commutators never see them.  This
+    is the one check that a generator list is non-empty and shares one d
+    and one site count.
     """
     ops = tuple(ops)
+    if not ops:
+        raise DimensionMismatch("need at least one generator")
     first = ops[0]
     for op in ops[1:]:
         first._check_compatible(op)

@@ -19,7 +19,10 @@ graph is B A^T - A B^T mod d, and gamma_Q is the same product over the
 columns of the sites in Q.  The bipartition scan takes cuts in blocks of
 SCAN_BLOCK: one masked product over the tableau gives gamma_Q for every
 cut of the block, and one elimination vectorised over the block gives
-all their ranks.  The tableau dtype comes from ``gf.exact_dtype``: int64
+all their ranks.  Only the ranks are kept: a ``BipartitionReport`` holds
+Q, rank_Q and the exact measure gm_exact (gm_value is its float), and
+``Stabilizer.reduced_generating_graph(Q)`` gives the matrix gamma_Q of
+one cut.  The tableau dtype comes from ``gf.exact_dtype``: int64
 when 2 n (d-1)^2 < 2^63, so that no sum of exponent products can
 overflow, and exact Python ints otherwise.
 """
@@ -82,17 +85,10 @@ class Stabilizer:
 
     def __init__(self, generators):
         gens = tuple(generators)
-        if not gens:
-            raise DimensionMismatch("a stabilizer needs at least one generator")
-        d = gens[0].d
-        n = gens[0].n_sites
-        for g in gens:
-            if g.d != d or g.n_sites != n:
-                raise DimensionMismatch("generators must share d and site count")
-        self.d = d
-        self.n_sites = n
+        self._A, self._B = exponent_tableau(gens)  # non-empty, one d, one n
+        self.d = gens[0].d
+        self.n_sites = gens[0].n_sites
         self.generators = gens
-        self._A, self._B = exponent_tableau(gens)
         self._validated = False
         self._code_basis = None  # dense code-space basis, built by the oracle
 
@@ -118,9 +114,8 @@ class Stabilizer:
         rows, cols = np.nonzero(np.triu(gamma, 1))
         if len(rows):
             raise NonCommuting(int(rows[0]) + 1, int(cols[0]) + 1)
-        ident = PauliOperator.identity(d, self.n_sites)
         for i, g in enumerate(gens):
-            if g ** d != ident:
+            if not g.has_unit_order:
                 raise PhaseViolation(
                     f"generator {i + 1} raised to the power {d} is a "
                     "nontrivial scalar"
@@ -129,7 +124,7 @@ class Stabilizer:
         combos = nullspace_basis(GFMatrix(np.hstack([self._A, self._B]).T, d))
         for combo in combos:
             prod = ordered_product(gens, combo)
-            if prod != ident:
+            if not prod.is_identity:
                 raise PhaseViolation(
                     "a generator product with identity Pauli part has "
                     f"phase exponent {prod.phase_exp}"
@@ -156,32 +151,31 @@ class Stabilizer:
             commutator_matrix(self._A[:, sites], self._B[:, sites], self.d), self.d
         )
 
-    def is_gme(self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP) -> bool:
+    def is_gme(self) -> bool:
         """Whether the stabilized subspace is genuinely multipartite entangled.
 
         True iff every bipartition has a pair of restricted generators
         that fail to commute, i.e. no reduced generating graph vanishes.
         A single site has no bipartitions and is never entangled.
         """
-        return gme_from_reports(self.bipartition_reports(bipartition_cap))
+        return gme_from_reports(self.bipartition_reports())
 
     def gm_measure(self, subset: SiteSubset) -> "BipartitionReport":
         """Geometric entanglement of the subspace across one bipartition."""
-        gamma_q = self.reduced_generating_graph(subset)
-        r = rank(gamma_q)
-        gm = self._measure(r)
-        return BipartitionReport(subset, gamma_q, r, gm, float(gm))
+        r = rank(self.reduced_generating_graph(subset))
+        return BipartitionReport(subset, r, self._measure(r))
 
-    def bipartition_reports(
-        self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP
-    ) -> list["BipartitionReport"]:
+    def bipartition_reports(self) -> list["BipartitionReport"]:
         """One report per bipartition, in the order of ``bipartitions``."""
         self.validate()
-        self._check_cap(bipartition_cap)
+        count = _cut_count(self.n_sites)
+        if count > DEFAULT_BIPARTITION_CAP:
+            raise TooManyBipartitions(
+                f"{count} bipartitions exceed the cap of {DEFAULT_BIPARTITION_CAP}"
+            )
         d, n = self.d, self.n_sites
-        count = _cut_count(n)
         reports = []
-        measures = {}  # rank -> (exact, float); few distinct ranks per scan
+        measures = {}  # rank -> exact measure; few distinct ranks per scan
         for start in range(0, count, SCAN_BLOCK):
             masks = range(start, min(start + SCAN_BLOCK, count))
             # sides[c, s] = 1 iff site s + 1 is in Q for cut masks[c]
@@ -190,24 +184,19 @@ class Stabilizer:
             half = np.einsum("in,cn,jn->cij", self._B, sides, self._A)
             gammas = (half - half.transpose(0, 2, 1)) % d
             ranks = rank_stack(gammas, d).tolist()
-            for mask, gamma_q, r in zip(masks, gammas, ranks):
+            for mask, r in zip(masks, ranks):
                 if r not in measures:
-                    gm = self._measure(r)
-                    measures[r] = (gm, float(gm))
-                subset = _cut(mask, n)
-                reports.append(
-                    BipartitionReport(subset, GFMatrix(gamma_q, d), r, *measures[r])
-                )
+                    measures[r] = self._measure(r)
+                reports.append(BipartitionReport(_cut(mask, n), r, measures[r]))
         return reports
 
-    def ggm_measure(self, bipartition_cap: int = DEFAULT_BIPARTITION_CAP) -> float:
+    def ggm_measure(self) -> float:
         """Minimum geometric measure over all bipartitions.
 
         When the subspace is genuinely multipartite entangled this is
         exactly (d-1)/d, and that equality is asserted.
         """
-        reports = self.bipartition_reports(bipartition_cap)
-        return float(ggm_from_reports(reports, self.d))
+        return float(ggm_from_reports(self.bipartition_reports(), self.d))
 
     def _measure(self, r: int) -> Fraction:
         """Exact measure across a cut whose reduced graph has rank r."""
@@ -221,13 +210,6 @@ class Stabilizer:
         if gm != Fraction(self.d ** self.k - clique, self.d ** self.k):
             raise RuntimeError("rank form and clique form disagree")
         return gm
-
-    def _check_cap(self, bipartition_cap: int) -> None:
-        count = _cut_count(self.n_sites)
-        if count > bipartition_cap:
-            raise TooManyBipartitions(
-                f"{count} bipartitions exceed the cap of {bipartition_cap}"
-            )
 
 
 def gme_from_reports(reports: list["BipartitionReport"]) -> bool:
@@ -257,13 +239,19 @@ def ggm_from_reports(reports: list["BipartitionReport"], d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BipartitionReport:
-    """Entanglement data for one bipartition Q | complement."""
+    """Entanglement data for one bipartition Q | complement.
+
+    Holds the side Q, the rank of gamma_Q and the exact measure; the
+    matrix gamma_Q itself is ``Stabilizer.reduced_generating_graph(Q)``.
+    """
 
     Q: SiteSubset
-    gamma_Q: GFMatrix
     rank_Q: int
     gm_exact: Fraction
-    gm_value: float
+
+    @property
+    def gm_value(self) -> float:
+        return float(self.gm_exact)
 
 
 def builtin_code(name: str, d: int, n: int) -> Stabilizer:

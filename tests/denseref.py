@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from frustgraph import GroupSpec, canonical_form, concrete_elements, ordered_product
-from frustgraph.oracle import RANK_CUTOFF
+
+RANK_CUTOFF = 1e-9  # singular values above this span the kept eigenspace
 
 
 def shift(d: int) -> np.ndarray:

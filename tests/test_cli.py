@@ -16,6 +16,7 @@ from frustgraph import (
     ParseError,
     PauliOperator,
 )
+from frustgraph import gf
 from frustgraph.cli import (
     CommandFlags,
     Report,
@@ -262,3 +263,25 @@ def test_cli_builtin_entanglement():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["result"]["ggm"]["real"] == "0.500000000000"
+
+
+def test_analyze_eliminates_once(monkeypatch):
+    original = gf.rank
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    patched = [
+        name
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("frustgraph") and getattr(module, "rank", None) is original
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "rank", counted)
+    assert "frustgraph.group" in patched
+    doc = parse_document((DOCS_DIR / "ghz3_d3.txt").read_text())
+    report = run_command("analyze", doc, CommandFlags())
+    assert report.result["sum_bound"] is not None  # odd d: every rank reader runs
+    assert calls == [(3, 3)]

@@ -7,6 +7,8 @@ operators, sums and optimiser loops from full d^n x d^n matrices.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from frustgraph import (
     Stabilizer,
     bipartitions,
     builtin_code,
+    canonical_form,
     concrete_elements,
     dense_pauli,
     max_product_overlap,
     max_sos,
+    ordered_product,
+    sos_bound,
     stabilizer_projector,
 )
 from frustgraph import oracle
@@ -154,3 +159,56 @@ def test_matrix_free_routes_agree_with_dense_on_graph_codes(seed):
     d = int(rng.choice([2, 3]))
     n = int(rng.integers(3, 5))
     assert_routes_agree(graph_code(d, n, int(rng.integers(1, n)), rng))
+
+
+def witness_spec(name: str, d: int, n: int) -> GroupSpec:
+    if name == "scalar":  # XZ and X^(d-1) Z^(d-1) commute; their product is a scalar
+        gens = [PauliOperator(d, (1,), (1,)), PauliOperator(d, (d - 1,), (d - 1,))]
+    else:
+        gens = builtin_code(name, d, n).generators
+    return GroupSpec.from_generators(gens)
+
+
+def sos_at(spec: GroupSpec, psi: np.ndarray) -> float:
+    n = spec.generators[0].n_sites
+    idx, ph = _action_tables([op for _, op in concrete_elements(spec)], spec.d, n)
+    return float(np.sum(np.abs((ph * psi[idx]) @ psi.conj()) ** 2))
+
+
+@pytest.mark.parametrize(
+    "name,d,n",
+    [
+        ("ghz", 2, 3),
+        ("ghz", 3, 3),
+        ("five_qudit", 2, 5),
+        ("five_qudit", 3, 5),
+        ("ghz", 2, 10),
+        ("scalar", 3, 1),
+        ("scalar", 5, 1),
+    ],
+)
+def test_commuting_witness_is_a_unit_joint_eigenvector(name, d, n):
+    spec = witness_spec(name, d, n)
+    vec = oracle._commuting_witness(spec)
+    assert vec.shape == (spec.d ** spec.generators[0].n_sites,)
+    assert abs(np.linalg.norm(vec) - 1) < TIGHT
+    cf = canonical_form(spec.gamma)
+    cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
+    for c in cols:
+        op = ordered_product(spec.generators, cf.O.entries[:, c]).canonical_unit_phase()
+        assert abs(abs(np.vdot(vec, denseref.dense(op) @ vec)) - 1) < TIGHT
+    bound = sos_bound(spec)
+    assert abs(sos_at(spec, vec) - bound) < oracle.BOUND_TOLERANCE
+    assert abs(sos_at(spec, denseref.commuting_witness(spec)) - bound) < oracle.BOUND_TOLERANCE
+
+
+def test_commuting_witness_allocates_no_square_array():
+    spec = witness_spec("ghz", 2, 10)
+    dim = 2 ** 10
+    tracemalloc.start()
+    try:
+        oracle._commuting_witness(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 16 // 8  # one complex d^n x d^n array is 16 MiB here

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import denseref
 from frustgraph import (
@@ -15,6 +17,7 @@ from frustgraph import (
     ordered_product,
     tensor,
 )
+from frustgraph.pauli import phase_modulus
 
 FAITHFUL_TOL = 1e-12
 
@@ -227,3 +230,19 @@ def test_ordered_product_is_left_to_right_power_product():
         assert ordered_product(ops, np.array([1, 1, 0])) == ops[0] * ops[1]
     with pytest.raises(DimensionMismatch):
         ordered_product([], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3, 5, 7, 2 ** 31 - 1]))
+def test_unit_order_closed_form_matches_power(data, d):
+    n = data.draw(st.integers(0, 4))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    a, b = tuple(data.draw(exps)), tuple(data.draw(exps))
+    modulus = phase_modulus(d)
+    if modulus <= 7:
+        phases = range(modulus)
+    else:
+        phases = [0, 1, modulus - 1, data.draw(st.integers(0, modulus - 1))]
+    for p in phases:
+        op = PauliOperator(d, a, b, p)
+        assert op.has_unit_order == (op ** d).is_identity

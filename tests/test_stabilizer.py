@@ -23,6 +23,7 @@ from frustgraph import (
     builtin_code,
     rank,
 )
+from frustgraph.stabilizer import DEFAULT_BIPARTITION_CAP
 from ref_data import FIVE_QUDIT_CUT_1, FIVE_QUDIT_CUT_12
 
 
@@ -102,9 +103,17 @@ def test_is_gme():
     assert ghz2_product_stabilizer().is_gme() is False
 
 
-def test_is_gme_cap():
-    with pytest.raises(TooManyBipartitions):
-        builtin_code("ghz", 2, 5).is_gme(bipartition_cap=3)
+def test_is_gme_cap(monkeypatch):
+    # 17 sites have 2^16 - 1 = 65535 cuts, above DEFAULT_BIPARTITION_CAP;
+    # the refusal comes before any cut is ranked
+    def no_scan(*_args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("frustgraph.stabilizer.rank_stack", no_scan)
+    stab = builtin_code("ghz", 2, 17)
+    assert 2 ** 16 - 1 > DEFAULT_BIPARTITION_CAP
+    with pytest.raises(TooManyBipartitions, match="65535 bipartitions"):
+        stab.is_gme()
 
 
 def test_gm_measure_five_qudit():

@@ -39,7 +39,7 @@ from .errors import (
     InvalidMode,
     ParseError,
 )
-from .group import DEFAULT_VERTEX_CAP, GroupSpec, commutation_graph
+from .group import VERTEX_CAP, GroupSpec, commutation_graph
 from .group import clique_number, sos_bound, sum_bound
 from .oracle import (
     BOUND_TOLERANCE,
@@ -254,7 +254,6 @@ class CommandFlags:
     seed: int = OptimizerConfig.seed
     restarts: int = OptimizerConfig.restarts
     tol: float = OptimizerConfig.tol
-    cap_vertices: int = DEFAULT_VERTEX_CAP
     checks: tuple[str, ...] = ()
     d: int | None = None
 
@@ -296,8 +295,8 @@ def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
         "sos_bound": sos_bound(spec),
         "sum_bound": real_str(sum_bound(spec)) if spec.d != 2 else None,
     }
-    if spec.n_elements <= flags.cap_vertices:
-        graph = commutation_graph(spec, flags.cap_vertices)
+    if spec.n_elements <= VERTEX_CAP:
+        graph = commutation_graph(spec)
         result["graph"] = {
             "vertices": graph.n_vertices,
             "edges": graph.edge_count,
@@ -519,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=defaults.seed)
     common.add_argument("--restarts", type=int, default=defaults.restarts)
     common.add_argument("--tol", type=float, default=defaults.tol)
-    common.add_argument("--cap-vertices", type=int, default=defaults.cap_vertices)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="generating graph, rank and bounds")
     sub.add_parser("canonical", parents=[common], help="symplectic normal form of the generating graph")
@@ -538,7 +536,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             restarts=args.restarts,
             tol=args.tol,
-            cap_vertices=args.cap_vertices,
             checks=tuple(getattr(args, "checks", None) or ()),
             d=args.d,
         )

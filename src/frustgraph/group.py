@@ -1,7 +1,8 @@
 """Groups of omega-commuting unitaries described by their generating graph.
 
 A group element is indexed by an exponent vector I over Z_d, standing for
-the ordered product of generators T_1^{I_1} ... T_k^{I_k}.  The pairwise
+the ordered product of generators T_1^{I_1} ... T_k^{I_k}, all of which
+``GroupSpec.elements`` holds as arrays from ``pauli.ordered_products``.  The pairwise
 commutation data of the generators, an antisymmetric adjacency matrix
 gamma with [T_i, T_j] = omega^{gamma_ij} 1 as a group commutator, fixes
 the commutation phase of every pair of elements through the bilinear form
@@ -32,11 +33,10 @@ from .errors import (
     TooLarge,
 )
 from .gf import GFMatrix, check_modulus, nullspace_basis, rank
-from .pauli import PauliOperator, commutator_matrix, exponent_tableau, ordered_product
+from .pauli import PauliOperator, commutator_matrix, exponent_tableau, ordered_products
 from .symplectic import check_antisymmetric
 
-DEFAULT_VERTEX_CAP = 256
-CLIQUE_VERTEX_CAP = 256
+VERTEX_CAP = 256  # commutation graphs and their clique search
 COLORING_VERTEX_CAP = 64
 
 Index = tuple[int, ...]
@@ -58,7 +58,7 @@ class GroupSpec:
     generators) are first class; concrete generators are needed only by
     the dense oracle routines.  Given generators, gamma may be None: it is
     then derived from them, as ``from_generators`` does, and otherwise
-    checked against them.  ``gamma_rank`` is computed once per spec.
+    checked against them.  ``gamma_rank`` and ``elements`` are computed once.
     """
 
     d: int
@@ -123,6 +123,15 @@ class GroupSpec:
     def gamma_rank(self) -> int:
         return rank(self.gamma)
 
+    @functools.cached_property
+    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, B, phase units) of all d^k elements, in element_indices order."""
+        if self.generators is None:
+            raise ValueError("concrete generators are required")
+        if not self.generators:  # the trivial group: the identity on no sites
+            return np.zeros((1, 0), int), np.zeros((1, 0), int), np.zeros(1, int)
+        return ordered_products(self.generators, element_indices(self.d, self.k))
+
 
 def frustration_exponent(I, J, gamma: GFMatrix) -> int:
     """Bilinear form value Gamma(I, J) = I . gamma . J mod d, in Python ints."""
@@ -166,24 +175,18 @@ class CommutationGraph:
         return self.adjacency[i].bit_count()
 
 
-def commutation_graph(
-    spec: GroupSpec, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> CommutationGraph:
+def commutation_graph(spec: GroupSpec) -> CommutationGraph:
     """Graph on all d^k element indices; edges where the form vanishes."""
     n = spec.n_elements
-    if n > vertex_cap:
-        raise TooLarge(f"{n} vertices exceed the cap of {vertex_cap}")
+    if n > VERTEX_CAP:
+        raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
     labels = element_indices(spec.d, spec.k)
     V = np.array(labels, dtype=np.int64).reshape(n, spec.k)
-    form = (V @ spec.gamma.entries @ V.T) % spec.d
-    masks = []
-    for i in range(n):
-        mask = 0
-        for j in np.flatnonzero(form[i] == 0):
-            if j != i:
-                mask |= 1 << int(j)
-        masks.append(mask)
-    return CommutationGraph(tuple(labels), tuple(masks))
+    edges = (V @ spec.gamma.entries @ V.T) % spec.d == 0
+    np.fill_diagonal(edges, False)
+    rows = np.packbits(edges, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return CommutationGraph(tuple(labels), masks)
 
 
 def central_subgroup_indices(spec: GroupSpec) -> list[Index]:
@@ -216,8 +219,8 @@ def clique_number(spec: GroupSpec) -> int:
 def clique_number_bruteforce(graph: CommutationGraph) -> int:
     """Exact maximum clique size by branch and bound with pivoting."""
     n = graph.n_vertices
-    if n > CLIQUE_VERTEX_CAP:
-        raise TooLarge(f"{n} vertices exceed the cap of {CLIQUE_VERTEX_CAP}")
+    if n > VERTEX_CAP:
+        raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
     adj = graph.adjacency
     best = 0
 
@@ -321,13 +324,10 @@ def concrete_elements(spec: GroupSpec) -> list[tuple[Index, PauliOperator]]:
     """All d^k elements as ordered generator products, phases exact.
 
     Element I is T_1^{I_1} * ... * T_k^{I_k} with ascending generator
-    index; for odd d these products already have d-th power one.
+    index, read from ``spec.elements``; for odd d they have d-th power one.
     """
-    if spec.generators is None:
-        raise ValueError("concrete generators are required")
-    if not spec.generators:
-        return [((), PauliOperator.identity(spec.d, 0))]
+    A, B, units = spec.elements
     return [
-        (I, ordered_product(spec.generators, I))
-        for I in element_indices(spec.d, spec.k)
+        (I, PauliOperator(spec.d, tuple(a), tuple(b), u))
+        for I, a, b, u in zip(element_indices(spec.d, spec.k), A, B, units)
     ]

@@ -17,9 +17,9 @@ from explicit complex vectors and matrices:
 The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
 basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
 plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
-derives idx and the exact phase exponents of many operators at once from
-their integer exponents.  ``max_sos`` applies every group element that
-way and refines a single vector into its commuting witness,
+derives idx and the exact phases of many operators at once from their
+exponent arrays.  ``max_sos`` applies every row of ``GroupSpec.elements``
+that way and refines a single vector into its commuting witness,
 ``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
 tables into one dense sum, and ``max_product_overlap`` works on an
 orthonormal basis of the code space, the unit-eigenvalue eigenvectors of
@@ -32,7 +32,6 @@ run is reproducible from its seed.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,13 +39,12 @@ import numpy as np
 
 from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
 from .gf import check_modulus
-from .group import GroupSpec, concrete_elements, sum_bound
+from .group import GroupSpec, sum_bound
 from .pauli import (
     PauliOperator,
     SiteSubset,
-    exponent_tableau,
     omega_units,
-    ordered_product,
+    ordered_products,
     phase_modulus,
 )
 from .stabilizer import Stabilizer
@@ -134,26 +132,26 @@ def verify_swap_identity(d: int) -> float:
     return float(np.max(np.abs(acc - swap)))
 
 
-def _action_tables(ops, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices and phases of operators on the d^n basis states.
 
-    Returns (m, d^n) arrays idx and ph with A_i psi == ph[i] * psi[idx[i]]
-    for the i-th of m operators, site 1 the most significant digit as in
+    Operator i is zeta^units[i] X^A[i] Z^B[i], with (m, n) exponent arrays
+    A and B.  Returns (m, d^n) arrays idx and ph with A_i psi ==
+    ph[i] * psi[idx[i]], site 1 the most significant digit as in
     ``dense_pauli``.  Output state x comes from y = x - a; its phase is
-    zeta^t with t = phase_exp + omega_units(d, b.y) reduced exactly mod
+    zeta^t with t = units[i] + omega_units(d, b.y) reduced exactly mod
     ``phase_modulus(d)`` and then looked up in one table of zeta powers.
     """
-    ops = tuple(ops)
-    A, B = exponent_tableau(ops)
+    m, n = A.shape
     states = np.arange(d ** n)
-    idx = np.zeros((len(ops), d ** n), dtype=np.int64)
+    idx = np.zeros((m, d ** n), dtype=np.int64)
     dot = np.zeros_like(idx)
     for j in range(n):
         y = (states // d ** (n - 1 - j) - A[:, j : j + 1]) % d
         idx = idx * d + y
         dot = (dot + B[:, j : j + 1] * y) % d
     modulus = phase_modulus(d)
-    units = np.array([op.phase_exp for op in ops], dtype=np.int64)[:, None]
+    units = np.asarray(units, dtype=np.int64)[:, None]
     zeta = np.exp(2j * np.pi * np.arange(modulus) / modulus)
     return idx, zeta[(units + omega_units(d, dot)) % modulus]
 
@@ -161,13 +159,14 @@ def _action_tables(ops, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _element_sum(spec: GroupSpec, dim: int) -> np.ndarray:
     """Dense sum of all elements, scattered from their action tables.
 
-    Elements are taken in concrete_elements order, _TABLE_ENTRIES // dim
-    at a time, so the tables stay small however many elements there are.
+    The rows of ``spec.elements`` are taken _TABLE_ENTRIES // dim at a
+    time, so the tables stay small however many elements there are.
     """
-    elements = (op for _, op in concrete_elements(spec))
+    A, B, units = spec.elements
+    step = max(1, _TABLE_ENTRIES // dim)
     total = np.zeros((dim, dim), dtype=np.complex128)
-    while chunk := list(itertools.islice(elements, max(1, _TABLE_ENTRIES // dim))):
-        idx, ph = _action_tables(chunk, spec.d, spec.generators[0].n_sites)
+    for rows in (slice(i, i + step) for i in range(0, len(units), step)):
+        idx, ph = _action_tables(A[rows], B[rows], units[rows], spec.d)
         np.add.at(total, (np.broadcast_to(np.arange(dim), idx.shape), idx), ph)
     return total
 
@@ -184,20 +183,16 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     so the largest has norm at least 1/sqrt(d); the generators commute, so
     later projections keep the earlier eigenvalues.
     """
-    gens = spec.generators
     d = spec.d
-    n = gens[0].n_sites
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
-    subgroup = [
-        ordered_product(gens, cf.O.entries[:, c]).canonical_unit_phase()
-        for c in cols
-    ]
+    A, B, _ = ordered_products(spec.generators, cf.O.entries[:, cols].T)
 
-    vec = np.zeros(d ** n, dtype=np.complex128)
+    vec = np.zeros(d ** A.shape[1], dtype=np.complex128)
     vec[0] = 1.0
-    for op in subgroup:
-        idx, ph = _action_tables([op ** s for s in range(d)], d, n)
+    for a, b in zip(A, B):
+        op = PauliOperator(d, tuple(a), tuple(b)).canonical_unit_phase()
+        idx, ph = _action_tables(*ordered_products([op], np.arange(d)[:, None]), d)
         # row t = sum_s omega^{-ts} op^s vec / d, the eigenvalue omega^t part
         parts = np.fft.fft(ph * vec[idx], axis=0) / d
         norms = np.linalg.norm(parts, axis=1)
@@ -227,7 +222,7 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     dim = spec.d ** n
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    idx, ph = _action_tables([op for _, op in concrete_elements(spec)], spec.d, n)
+    idx, ph = _action_tables(*spec.elements, spec.d)
 
     def evaluate(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Rows A psi, expectations <psi|A|psi> and their sum of squares."""

@@ -7,8 +7,9 @@ plus two exponent vectors,
 
 with X kept to the left of Z on every site.  Reordering a Z past an X on
 one site costs a factor omega = exp(2*pi*i/d), so products, powers and
-inverses reduce to integer bookkeeping on (p, a, b) in plain Python ints;
-the tableau arrays take their dtype from the one rule, ``gf.exact_dtype``.
+inverses reduce to integer bookkeeping on (p, a, b) in plain Python ints,
+and ``ordered_products`` is their closed form over the exponent tableau,
+whose arrays take their dtype from the one rule, ``gf.exact_dtype``.
 
 The phase unit zeta is omega itself for odd d and the quarter turn i for
 d = 2.  For odd d the reachable phases are exactly the powers of omega;
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSubset, DimensionMismatch
-from .gf import check_modulus, exact_dtype
+from .gf import _python_ints, check_modulus, exact_dtype
 
 
 def phase_modulus(d: int) -> int:
@@ -202,16 +203,35 @@ class PauliOperator:
         ).canonical_unit_phase()
 
 
-def ordered_product(ops, exponents) -> PauliOperator:
-    """Exact ops[0]^e_0 * ... * ops[k-1]^e_{k-1}; zero exponents are skipped."""
+def ordered_products(ops, exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, phase units) of ops[0]^I_0 * ... * ops[k-1]^I_{k-1}, one row per I.
+
+    With T_i = zeta^p_i X^a_i Z^b_i and C = B A^T, the product has Pauli
+    part I [A | B] mod d and phase zeta^(I.p) omega^t, for the quadratic form
+    t = sum_{i<j} I_i I_j C_ij + sum_i C(I_i, 2) C_ii.  Every T_i has
+    T_i^m = 1 for m = phase_modulus(d), so I is first reduced mod m.
+    """
     ops = tuple(ops)
-    if not ops:
-        raise DimensionMismatch("ordered_product needs at least one operator")
-    result = PauliOperator.identity(ops[0].d, ops[0].n_sites)
-    for op, e in zip(ops, exponents):
-        if e:
-            result = result * (op ** int(e))
-    return result
+    A, B = exponent_tableau(ops)  # non-empty, one d, one n
+    d, k, m = ops[0].d, len(ops), phase_modulus(ops[0].d)
+    E = np.array(exponents, dtype=object)
+    if E.ndim != 2 or E.shape[1] != k:
+        raise DimensionMismatch(f"need rows of {k} exponents, got shape {E.shape}")
+    dtype = exact_dtype(d, max(k, 2 * A.shape[1]))  # sums of k or 2n products
+    E = (_python_ints(E) % m).astype(dtype)
+    A, B = A.astype(dtype), B.astype(dtype)
+    p = np.array([op.phase_exp for op in ops], dtype=dtype)
+    C = (B @ A.T) % d
+    t = (E * ((E @ np.triu(C, 1).T) % d)).sum(axis=1) % d
+    t += ((E * (E - 1) // 2 % d) * np.diagonal(C)).sum(axis=1) % d
+    return (E @ A) % d, (E @ B) % d, ((E @ p) % m + omega_units(d, t)) % m
+
+
+def ordered_product(ops, exponents) -> PauliOperator:
+    """Exact ops[0]^e_0 * ... * ops[k-1]^e_{k-1}, one row of ordered_products."""
+    ops = tuple(ops)
+    A, B, units = ordered_products(ops, [exponents])
+    return PauliOperator(ops[0].d, tuple(A[0]), tuple(B[0]), units[0])
 
 
 def commutator_exponent(p: PauliOperator, q: PauliOperator) -> int:

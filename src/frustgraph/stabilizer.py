@@ -51,7 +51,7 @@ from .pauli import (
     SiteSubset,
     commutator_matrix,
     exponent_tableau,
-    ordered_product,
+    ordered_products,
 )
 
 DEFAULT_BIPARTITION_CAP = 2 ** 15 - 1  # handles n_sites up to 16
@@ -122,14 +122,13 @@ class Stabilizer:
                 )
         # combinations with identity Pauli part must multiply to exactly 1
         combos = nullspace_basis(GFMatrix(np.hstack([self._A, self._B]).T, d))
-        for combo in combos:
-            prod = ordered_product(gens, combo)
-            if not prod.is_identity:
+        if combos:
+            units = ordered_products(gens, combos)[2]
+            if units.any():
                 raise PhaseViolation(
                     "a generator product with identity Pauli part has "
-                    f"phase exponent {prod.phase_exp}"
+                    f"phase exponent {units[units != 0][0]}"
                 )
-        if combos:
             raise DependentGenerators(
                 f"generator exponent rows span only {k - len(combos)} of "
                 f"{k} dimensions"

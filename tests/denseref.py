@@ -3,15 +3,17 @@
 Deliberately built by a different route than the library's own dense
 realisation: single-site matrices come from explicit matrix powers of the
 bare shift and clock, and tensor products are accumulated left to right.
-The optimisers at the end keep the matrix-by-matrix form of the oracle's
-``max_sos`` and ``max_product_overlap``.
+Group elements are chains of ``PauliOperator.multiply`` and ``power``, not
+the library's closed-form ``ordered_products``.  The optimisers at the end
+keep the matrix-by-matrix form of the oracle's ``max_sos`` and
+``max_product_overlap``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from frustgraph import GroupSpec, canonical_form, concrete_elements, ordered_product
+from frustgraph import GroupSpec, PauliOperator, canonical_form, element_indices
 
 RANK_CUTOFF = 1e-9  # singular values above this span the kept eigenspace
 
@@ -47,8 +49,30 @@ def dense(op) -> np.ndarray:
 # RNG stream, restarts and stopping rule make their results comparable.
 
 
+def product(ops, exponents):
+    """ops[0]^e_0 * ... * ops[k-1]^e_{k-1}, multiplied out one power at a time."""
+    out = PauliOperator.identity(ops[0].d, ops[0].n_sites)
+    for op, e in zip(ops, exponents):
+        out = out * op ** int(e)
+    return out
+
+
+def group_elements(spec) -> list:
+    """All d^k elements T_1^{I_1} ... T_k^{I_k}, in element_indices order."""
+    return [product(spec.generators, I) for I in element_indices(spec.d, spec.k)]
+
+
+def tableau(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent arrays A, B and phase exponents of operators, read field by field."""
+    return (
+        np.array([op.a for op in ops]).reshape(len(ops), -1),
+        np.array([op.b for op in ops]).reshape(len(ops), -1),
+        np.array([op.phase_exp for op in ops]),
+    )
+
+
 def group_matrices(spec) -> list[np.ndarray]:
-    return [dense(op) for _, op in concrete_elements(spec)]
+    return [dense(op) for op in group_elements(spec)]
 
 
 def sos_value(mats, psi) -> float:
@@ -64,7 +88,7 @@ def commuting_witness(spec) -> np.ndarray:
     basis = np.eye(dim, dtype=np.complex128)
     omega = np.exp(2j * np.pi / d)
     for c in cols:
-        op = ordered_product(gens, cf.O.entries[:, c]).canonical_unit_phase()
+        op = product(gens, cf.O.entries[:, c]).canonical_unit_phase()
         powers = [np.linalg.matrix_power(dense(op), s) for s in range(d)]
         for t in range(d):
             projector = sum(omega ** (-t * s) * powers[s] for s in range(d)) / d

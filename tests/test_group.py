@@ -109,7 +109,7 @@ def test_commutation_graph_single_generator_complete():
 def test_commutation_graph_cap():
     spec = GroupSpec.from_gamma(3, GFMatrix.zeros(6, 6, 3))
     with pytest.raises(TooLarge):
-        commutation_graph(spec, vertex_cap=256)
+        commutation_graph(spec)
 
 
 def test_central_indices_full_rank():

@@ -7,6 +7,7 @@ operators, sums and optimiser loops from full d^n x d^n matrices.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,19 +20,18 @@ from frustgraph import (
     GroupSpec,
     OptimizerConfig,
     PauliOperator,
+    SiteSubset,
     Stabilizer,
     bipartitions,
     builtin_code,
     canonical_form,
-    concrete_elements,
-    dense_pauli,
     max_product_overlap,
     max_sos,
-    ordered_product,
+    max_sum_eigenvalue,
     sos_bound,
     stabilizer_projector,
 )
-from frustgraph import oracle
+from frustgraph import oracle, pauli
 from frustgraph.oracle import _action_tables, _code_basis, _element_sum
 from frustgraph.pauli import phase_modulus
 
@@ -65,7 +65,7 @@ def random_state(dim: int, seed: int) -> np.ndarray:
 @given(operator_lists(), st.integers(0, 2 ** 32 - 1))
 def test_action_tables_apply_the_dense_operator(ops, seed):
     d, n = ops[0].d, ops[0].n_sites
-    idx, ph = _action_tables(ops, d, n)
+    idx, ph = _action_tables(*denseref.tableau(ops), d)
     assert idx.shape == ph.shape == (len(ops), d ** n)
     psi = random_state(d ** n, seed)
     for i, op in enumerate(ops):
@@ -77,7 +77,7 @@ def test_action_tables_cover_every_phase(d):
     ops = [
         PauliOperator(d, (1, 0, d - 1), (d - 1, 1, 1), p) for p in range(phase_modulus(d))
     ]
-    idx, ph = _action_tables(ops, d, 3)
+    idx, ph = _action_tables(*denseref.tableau(ops), d)
     eye = np.eye(d ** 3)
     for i, op in enumerate(ops):  # column j of A is A applied to basis state j
         assert np.max(np.abs(ph[i][:, None] * eye[idx[i]] - denseref.dense(op))) < TIGHT
@@ -89,7 +89,7 @@ def test_action_tables_cover_every_phase(d):
 def test_element_sum_scatters_the_dense_sum(entries, ops):
     spec = GroupSpec.from_generators([op.canonical_unit_phase() for op in ops[:3]])
     dim = spec.d ** ops[0].n_sites
-    want = sum(dense_pauli(op) for _, op in concrete_elements(spec))
+    want = sum(denseref.dense(op) for op in denseref.group_elements(spec))
     saved = oracle._TABLE_ENTRIES
     try:
         if entries is not None:  # one element per block
@@ -170,8 +170,7 @@ def witness_spec(name: str, d: int, n: int) -> GroupSpec:
 
 
 def sos_at(spec: GroupSpec, psi: np.ndarray) -> float:
-    n = spec.generators[0].n_sites
-    idx, ph = _action_tables([op for _, op in concrete_elements(spec)], spec.d, n)
+    idx, ph = _action_tables(*denseref.tableau(denseref.group_elements(spec)), spec.d)
     return float(np.sum(np.abs((ph * psi[idx]) @ psi.conj()) ** 2))
 
 
@@ -195,7 +194,7 @@ def test_commuting_witness_is_a_unit_joint_eigenvector(name, d, n):
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
     for c in cols:
-        op = ordered_product(spec.generators, cf.O.entries[:, c]).canonical_unit_phase()
+        op = denseref.product(spec.generators, cf.O.entries[:, c]).canonical_unit_phase()
         assert abs(abs(np.vdot(vec, denseref.dense(op) @ vec)) - 1) < TIGHT
     bound = sos_bound(spec)
     assert abs(sos_at(spec, vec) - bound) < oracle.BOUND_TOLERANCE
@@ -212,3 +211,42 @@ def test_commuting_witness_allocates_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < dim * dim * 16 // 8  # one complex d^n x d^n array is 16 MiB here
+
+
+def test_group_is_multiplied_out_once_per_spec(monkeypatch):
+    original = pauli.ordered_products
+    rows = []
+
+    def counted(ops, exponents):
+        out = original(ops, exponents)
+        rows.append(len(out[2]))
+        return out
+
+    patched = [
+        name
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("frustgraph")
+        and getattr(module, "ordered_products", None) is original
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "ordered_products", counted)
+    assert {"frustgraph.group", "frustgraph.oracle"} <= set(patched)
+    spec = GroupSpec.from_generators(builtin_code("five_qudit", 3, 5).generators)
+    max_sos(spec, CFG)
+    max_sum_eigenvalue(spec)
+    # the witness multiplies out a few subgroup generators and their powers
+    assert rows.count(spec.n_elements) == 1 and max(rows) == spec.n_elements == 81
+
+
+def test_dense_routes_multiply_no_operators(monkeypatch):
+    stab = Stabilizer(builtin_code("five_qudit", 3, 5).generators)  # not yet validated
+    spec = GroupSpec.from_generators(stab.generators)
+
+    def refuse(self, other):
+        raise AssertionError("PauliOperator.multiply called")
+
+    monkeypatch.setattr(PauliOperator, "multiply", refuse)
+    monkeypatch.setattr(PauliOperator, "__mul__", refuse)
+    assert max_sos(spec, CFG) == pytest.approx(sos_bound(spec), abs=oracle.BOUND_TOLERANCE)
+    assert max_sum_eigenvalue(spec) > 0
+    assert 0 < max_product_overlap(stab, SiteSubset((1, 2), 5), CFG) <= 1 + AGREE

@@ -17,7 +17,8 @@ from frustgraph import (
     ordered_product,
     tensor,
 )
-from frustgraph.pauli import phase_modulus
+from frustgraph.gf import exact_dtype
+from frustgraph.pauli import ordered_products, phase_modulus
 
 FAITHFUL_TOL = 1e-12
 
@@ -230,6 +231,47 @@ def test_ordered_product_is_left_to_right_power_product():
         assert ordered_product(ops, np.array([1, 1, 0])) == ops[0] * ops[1]
     with pytest.raises(DimensionMismatch):
         ordered_product([], [])
+
+
+def assert_rows_are_power_chains(ops, rows) -> None:
+    A, B, units = ordered_products(ops, rows)
+    assert len(A) == len(B) == len(units) == len(rows)
+    for row, a, b, unit in zip(rows, A, B, units):
+        want = denseref.product(ops, row)  # raw outputs: already reduced, exact ints
+        assert ([int(v) for v in a], [int(v) for v in b]) == (list(want.a), list(want.b))
+        assert int(unit) == want.phase_exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3, 5, 7, 2 ** 31 - 1]))
+def test_ordered_products_match_power_chains(data, d):
+    # every phase exponent, so d = 2 operators without unit order are drawn too
+    m = phase_modulus(d)
+    n = data.draw(st.integers(0, 3))
+    k = data.draw(st.integers(1, 4))
+    residues = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    ops = [
+        PauliOperator(d, tuple(data.draw(residues)), tuple(data.draw(residues)), p)
+        for p in data.draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+    ]
+    row = st.lists(st.integers(-2 * m, 2 * m), min_size=k, max_size=k)
+    assert_rows_are_power_chains(ops, data.draw(st.lists(row, min_size=1, max_size=4)))
+
+
+def test_ordered_products_exact_when_k_exceeds_2n():
+    # d = 2^31 - 1, n = 1: sums of 2n products fit int64, sums of k = 4 do not
+    d = 2 ** 31 - 1
+    assert exact_dtype(d, 2) is np.int64 and exact_dtype(d, 4) is object
+    ops = [PauliOperator(d, (d - 1,), (d - 1 - i,), d - 1 - i) for i in range(4)]
+    rows = [[d - 1] * 4, [d - 2, -1, d - 1, 2 * d - 3], [0, 0, 0, 0]]
+    assert_rows_are_power_chains(ops, rows)
+
+
+def test_ordered_products_rejects_bad_exponent_rows():
+    ops = [PauliOperator.x(3), PauliOperator.z(3)]
+    for rows in ([[1, 2, 0]], [1, 2]):
+        with pytest.raises(DimensionMismatch):
+            ordered_products(ops, rows)
 
 
 @settings(max_examples=150, deadline=None)

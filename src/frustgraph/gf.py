@@ -161,19 +161,17 @@ def _row_echelon(matrix: GFMatrix, pivot_cols: int | None = None):
     pivots: list[int] = []
     r = 0
     for c in range(limit):
-        pivot = None
-        for i in range(r, n_rows):
-            if R[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(R[r:, c])
+        if not nonzero.size:
             continue
+        pivot = r + int(nonzero[0])
         if pivot != r:
             R[[r, pivot]] = R[[pivot, r]]
         R[r] = (R[r] * pow(int(R[r, c]), -1, d)) % d
-        for i in range(n_rows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % d
+        # columns left of c are zero in row r: clear column c in one update
+        rows = np.flatnonzero(R[:, c])
+        rows = rows[rows != r]
+        R[rows, c:] = (R[rows, c:] - R[rows, c:c + 1] * R[r, c:]) % d
         pivots.append(c)
         r += 1
         if r == n_rows:

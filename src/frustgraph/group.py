@@ -217,7 +217,13 @@ def clique_number(spec: GroupSpec) -> int:
 
 
 def clique_number_bruteforce(graph: CommutationGraph) -> int:
-    """Exact maximum clique size by branch and bound with pivoting."""
+    """Exact maximum clique size by branch and bound on a coloring bound.
+
+    Each node colors its candidates greedily into independent classes
+    (MCQ, Tomita & Seki 2003): a clique takes at most one vertex per class,
+    so a vertex of color c adds at most c.  Vertices are expanded in
+    reverse color order until size + color <= best.
+    """
     n = graph.n_vertices
     if n > VERTEX_CAP:
         raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
@@ -226,34 +232,45 @@ def clique_number_bruteforce(graph: CommutationGraph) -> int:
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if not cand or size + cand.bit_count() <= best:
+        if not cand:
+            best = max(best, size)
             return
-        # pivot on the candidate with the most candidate neighbours
-        pivot, pivot_score, scan = -1, -1, cand
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            score = (cand & adj[v]).bit_count()
-            if score > pivot_score:
-                pivot, pivot_score = v, score
-        ext = cand & ~adj[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            bit = 1 << v
-            expand(size + 1, cand & adj[v])
-            cand &= ~bit
-            ext &= ~bit
-            if size + cand.bit_count() <= best:
+        for v, color in reversed(_color_classes(cand, adj, best - size)):
+            if size + color <= best:
                 return
+            expand(size + 1, cand & adj[v])
+            cand &= ~(1 << v)
 
     expand(0, (1 << n) - 1)
     return best
 
 
+def _color_classes(cand: int, adj, skip: int = 0) -> list[tuple[int, int]]:
+    """Greedy coloring of ``cand`` as (vertex, color) pairs, colors from 1.
+
+    Each class repeatedly takes the lowest remaining vertex and drops its
+    neighbours; only the vertices whose color exceeds ``skip`` are listed.
+    """
+    order, color = [], 0
+    while cand:
+        color += 1
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q = (q & ~adj[v]) ^ low
+            if color > skip:
+                order.append((v, color))
+    return order
+
+
 def chromatic_number_exact(graph: CommutationGraph) -> int:
-    """Exact chromatic number by backtracking above a clique lower bound."""
+    """Exact chromatic number by backtracking between two coloring bounds.
+
+    The clique number bounds it below and the greedy coloring of
+    ``_color_classes`` above, so only the counts in between are searched.
+    """
     n = graph.n_vertices
     if n > COLORING_VERTEX_CAP:
         raise TooLarge(f"{n} vertices exceed the cap of {COLORING_VERTEX_CAP}")
@@ -261,40 +278,38 @@ def chromatic_number_exact(graph: CommutationGraph) -> int:
         return 0
     adj = graph.adjacency
     lower = clique_number_bruteforce(graph)
+    upper = _color_classes((1 << n) - 1, adj)[-1][1]
 
     def colorable(n_colors: int) -> bool:
-        colors = [-1] * n
+        classes = [0] * n_colors  # bitmask of the vertices of each color
 
-        def solve(done: int, used: int) -> bool:
-            if done == n:
+        def solve(uncolored: int, used: int) -> bool:
+            if not uncolored:
                 return True
             # most saturated uncolored vertex first, ties by degree
             v_best, key_best = -1, (-1, -1)
-            for v in range(n):
-                if colors[v] != -1:
-                    continue
-                seen = {colors[u] for u in _bits(adj[v]) if colors[u] != -1}
-                key = (len(seen), adj[v].bit_count())
+            for v in _bits(uncolored):
+                seen = sum(1 for c in range(used) if classes[c] & adj[v])
+                key = (seen, adj[v].bit_count())
                 if key > key_best:
                     v_best, key_best = v, key
-            v = v_best
-            forbidden = {colors[u] for u in _bits(adj[v])}
+            v, bit = v_best, 1 << v_best
             # allow at most one previously unused color to break symmetry
             for c in range(min(used + 1, n_colors)):
-                if c in forbidden:
+                if classes[c] & adj[v]:
                     continue
-                colors[v] = c
-                if solve(done + 1, max(used, c + 1)):
+                classes[c] |= bit
+                if solve(uncolored ^ bit, max(used, c + 1)):
                     return True
-                colors[v] = -1
+                classes[c] ^= bit
             return False
 
-        return solve(0, 0)
+        return solve((1 << n) - 1, 0)
 
-    for t in range(max(lower, 1), n + 1):
+    for t in range(max(lower, 1), upper):
         if colorable(t):
             return t
-    return n
+    return upper
 
 
 def _bits(mask: int):

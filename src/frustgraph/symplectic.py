@@ -60,43 +60,37 @@ def canonical_form(gamma: GFMatrix) -> CanonicalForm:
     # form value u^T g v = ((u^T g) mod d) v: k products of residues twice
     dtype = exact_dtype(d, k)
     g = gamma.entries.astype(dtype)
-    vectors = list(np.eye(k, dtype=dtype))
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    # rows 0..r-1 of W = [V | V g mod d] are the remaining basis vectors
+    # and their form rows; O's columns fill with the pairs, then the rest
+    W = np.hstack([np.eye(k, dtype=dtype), g])
+    V, VG = W[:, :k], W[:, k:]
+    O = np.zeros((k, k), dtype=dtype)
+    coef = np.zeros((k, 2), dtype=dtype)
+    step = np.zeros((k, 2 * k), dtype=dtype)
+    r, m = k, 0
     while True:
-        hit = None
-        for i, u in enumerate(vectors):
-            ug = (u @ g) % d
-            for j, v in enumerate(vectors):
-                c = int(ug @ v) % d if j != i else 0
-                if c:
-                    hit = (i, j, c)
-                    break
-            if hit:
+        for i in range(r):
+            nonzero = np.flatnonzero(VG[i] @ V[:r].T % d)
+            if nonzero.size:
                 break
-        if hit is None:
+        else:
             break
-        i, j, c = hit
-        u = vectors[i]
+        j = int(nonzero[0])  # j > i: row j would have hit first otherwise
         # rescale the partner so the pair's form value is exactly -1
-        w = (vectors[j] * ((-pow(c, -1, d)) % d)) % d
-        rest = []
-        for t, v in enumerate(vectors):
-            if t in (i, j):
-                continue
-            vg = (v @ g) % d
-            rest.append((v + int(vg @ w) % d * u - int(vg @ u) % d * w) % d)
-        pairs.append((u, w))
-        vectors = rest
-
-    cols: list[np.ndarray] = []
-    for u, w in pairs:
-        cols.extend([u, w])
-    cols.extend(vectors)
-    if cols:
-        O = GFMatrix(np.column_stack(cols), d)
-    else:
-        O = GFMatrix(np.zeros((0, 0), dtype=np.int64), d)
-    m = len(pairs)
+        scale = -pow(int(VG[i] @ V[j]) % d, -1, d) % d
+        x, y = W[i].copy(), W[j] * scale % d  # [u | u g] and [w | w g]
+        O[:, 2 * m], O[:, 2 * m + 1] = x[:k], y[:k]
+        m, r = m + 1, r - 2
+        W[i:j - 1] = W[i + 1:j]  # drop rows i and j, keeping the order
+        W[j - 1:r] = W[j + 1:r + 2]
+        # v += (vg.w) u - (vg.u) w clears both directions, and vg follows
+        np.matmul(VG[:r], np.stack([y[:k], x[:k]], axis=1), out=coef[:r])
+        coef[:r] %= d
+        np.matmul(coef[:r], np.stack([x, -y]), out=step[:r])
+        W[:r] += step[:r]
+        W[:r] %= d
+    O[:, 2 * m:] = V[:r].T
+    O = GFMatrix(O, d)
 
     expected = pair_block_matrix(k, m, d)
     if (O.T @ gamma @ O) != expected or rank(O) != k:

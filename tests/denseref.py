@@ -6,7 +6,9 @@ bare shift and clock, and tensor products are accumulated left to right.
 Group elements are chains of ``PauliOperator.multiply`` and ``power``, not
 the library's closed-form ``ordered_products``.  The optimisers at the end
 keep the matrix-by-matrix form of the oracle's ``max_sos`` and
-``max_product_overlap``.
+``max_product_overlap``.  The exact kernels after them are the scalar loops
+that the library's array kernels replaced: the pivoting clique search,
+row-by-row elimination and the vector-by-vector symplectic pass.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from frustgraph import GroupSpec, PauliOperator, canonical_form, element_indices
+from frustgraph.gf import exact_dtype
 
 RANK_CUTOFF = 1e-9  # singular values above this span the kept eigenspace
 
@@ -171,3 +174,109 @@ def max_product_overlap(stab, subset, cfg) -> float:
             value = new_value
         best = max(best, value)
     return float(best)
+
+
+# Exact kernels, kept as the scalar loops the library's array kernels
+# replaced; the library must reproduce them exactly.
+
+
+def clique_number_pivoting(adj) -> int:
+    """Maximum clique size by branch and bound with pivoting, over bitmasks."""
+    best = 0
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        if not cand or size + cand.bit_count() <= best:
+            return
+        # pivot on the candidate with the most candidate neighbours
+        pivot, pivot_score, scan = -1, -1, cand
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            score = (cand & adj[v]).bit_count()
+            if score > pivot_score:
+                pivot, pivot_score = v, score
+        ext = cand & ~adj[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            bit = 1 << v
+            expand(size + 1, cand & adj[v])
+            cand &= ~bit
+            ext &= ~bit
+            if size + cand.bit_count() <= best:
+                return
+
+    expand(0, (1 << len(adj)) - 1)
+    return best
+
+
+def row_echelon(matrix, pivot_cols=None):
+    """Reduced row echelon form of a GFMatrix, one row operation at a time."""
+    d = matrix.d
+    R = matrix.entries.copy()
+    n_rows, n_cols = R.shape
+    limit = n_cols if pivot_cols is None else pivot_cols
+    pivots = []
+    r = 0
+    for c in range(limit):
+        pivot = None
+        for i in range(r, n_rows):
+            if R[i, c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), -1, d)) % d
+        for i in range(n_rows):
+            if i != r and R[i, c]:
+                R[i] = (R[i] - R[i, c] * R[r]) % d
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return R, pivots
+
+
+def symplectic_pass(gamma):
+    """(O, m) of the symplectic Gram-Schmidt pass, vector by vector.
+
+    The lowest-index vector with a nonzero form row pairs with its
+    lowest-index partner, rescaled to form value -1, and both directions
+    are cleared from every other vector; O lists the pairs, then the rest.
+    """
+    d, k = gamma.d, gamma.rows
+    dtype = exact_dtype(d, k)
+    g = gamma.entries.astype(dtype)
+    vectors = list(np.eye(k, dtype=dtype))
+    pairs = []
+    while True:
+        hit = None
+        for i, u in enumerate(vectors):
+            ug = (u @ g) % d
+            for j, v in enumerate(vectors):
+                c = int(ug @ v) % d if j != i else 0
+                if c:
+                    hit = (i, j, c)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        i, j, c = hit
+        u = vectors[i]
+        w = (vectors[j] * ((-pow(c, -1, d)) % d)) % d
+        rest = []
+        for t, v in enumerate(vectors):
+            if t in (i, j):
+                continue
+            vg = (v @ g) % d
+            rest.append((v + int(vg @ w) % d * u - int(vg @ u) % d * w) % d)
+        pairs.append((u, w))
+        vectors = rest
+    cols = [x for pair in pairs for x in pair] + vectors
+    O = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=np.int64)
+    return O, len(pairs)

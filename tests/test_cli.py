@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -218,6 +219,40 @@ def test_cli_exit_codes(tmp_path):
 
     proc = _run_cli("analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
+
+
+FUZZ_ALPHABET = "XZIxz^-+0123456789=: \n\t#gdnmode"
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """Delete, insert or replace one to four characters of ``text``."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        pos = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3) if pos < len(chars) else 1
+        if op == 0:
+            del chars[pos]
+        elif op == 1:
+            chars.insert(pos, rng.choice(FUZZ_ALPHABET))
+        else:
+            chars[pos] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def test_fuzzed_documents_exit_cleanly(tmp_path, capsys):
+    # a malformed or unsupported document is a usage error (exit 2), never
+    # an unhandled exception (exit 1)
+    rng = random.Random(20260101)
+    path = tmp_path / "fuzzed.txt"
+    for source in sorted(DOCS_DIR.glob("*.txt")):
+        text = source.read_text()
+        for _ in range(50):
+            mutated = mutate(text, rng)
+            path.write_text(mutated)
+            for command in ("analyze", "canonical", "entanglement"):
+                code = main([command, str(path), "--format", "json"])
+                captured = capsys.readouterr()
+                assert code in (0, 2), f"{command} exited {code} on {mutated!r}:\n{captured.err}"
 
 
 @pytest.mark.parametrize("option", [("--restarts", "0"), ("--tol", "0")])

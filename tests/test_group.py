@@ -32,6 +32,8 @@ from frustgraph import (
 )
 from frustgraph.group import CommutationGraph
 
+from denseref import clique_number_pivoting
+
 
 def pauli_pair_spec(d):
     return GroupSpec.from_generators([PauliOperator.x(d), PauliOperator.z(d)])
@@ -186,6 +188,101 @@ def test_bruteforce_clique_exhaustive_cross_check():
             if all(graph.has_edge(i, j) for i, j in itertools.combinations(combo, 2)):
                 best = max(best, size)
     assert clique_number_bruteforce(graph) == best == 2
+
+
+def mask_graph(rows) -> CommutationGraph:
+    """Graph from a boolean adjacency matrix, one bitmask per vertex."""
+    masks = tuple(sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows)
+    return CommutationGraph(tuple((i,) for i in range(len(masks))), masks)
+
+
+def random_graph(rng, n, p) -> CommutationGraph:
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return mask_graph(upper | upper.T)
+
+
+def exhaustive_clique(graph) -> int:
+    """Largest vertex subset whose members are pairwise adjacent."""
+    adj = graph.adjacency
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    return max(
+        bin(s).count("1")
+        for s in range(1 << graph.n_vertices)
+        if all(closed[v] & s == s for v in range(graph.n_vertices) if s >> v & 1)
+    )
+
+
+def exhaustive_chromatic(graph) -> int:
+    """Fewest independent sets covering the graph, by dynamic programming over subsets."""
+    n, adj = graph.n_vertices, graph.adjacency
+    independent = [all(not adj[v] & s for v in range(n) if s >> v & 1) for s in range(1 << n)]
+    chi = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest, best, sub = s ^ low, n, s ^ low
+        while True:  # independent sets within s that hold its lowest vertex
+            if independent[sub | low]:
+                best = min(best, 1 + chi[rest ^ sub])
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        chi[s] = best
+    return chi[-1]
+
+
+def test_bruteforce_clique_matches_pivoting_search_on_random_graphs():
+    rng = np.random.default_rng(43)
+    for n in range(0, 61, 3):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            graph = random_graph(rng, n, p)
+            assert clique_number_bruteforce(graph) == clique_number_pivoting(graph.adjacency)
+
+
+def test_bruteforce_clique_matches_subset_enumeration():
+    rng = np.random.default_rng(47)
+    for n in range(0, 13):
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):  # edgeless and complete at the ends
+            graph = random_graph(rng, n, p)
+            expected = {0.0: min(n, 1), 1.0: n}.get(p, exhaustive_clique(graph))
+            assert exhaustive_clique(graph) == expected
+            assert clique_number_bruteforce(graph) == expected
+
+
+def full_rank_basis_spec(d, k, n, seed):
+    """The first k rows of a random basis of Z_d^(2n), as generators on n sites."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = rng.integers(0, d, size=(k, 2 * n))
+        if rank(GFMatrix(rows, d)) == k:
+            break
+    return GroupSpec.from_generators(
+        PauliOperator(d, tuple(int(v) for v in row[:n]), tuple(int(v) for v in row[n:]))
+        .canonical_unit_phase()
+        for row in rows
+    )
+
+
+@pytest.mark.parametrize("d, k, n, expected", [(2, 8, 4, 16), (3, 5, 3, 27)])
+def test_bruteforce_clique_on_benchmark_sized_specs(d, k, n, expected):
+    for seed in (1, 2):
+        spec = full_rank_basis_spec(d, k, n, seed)
+        graph = commutation_graph(spec)
+        assert graph.n_vertices == d ** k
+        assert clique_number_bruteforce(graph) == clique_number(spec) == expected
+
+
+def test_chromatic_matches_subset_dynamic_programming():
+    # covers graphs whose greedy coloring overshoots and graphs whose
+    # chromatic number exceeds the clique number
+    rng = np.random.default_rng(53)
+    for n in range(0, 11):
+        for p in (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0):
+            for _ in range(2):
+                graph = random_graph(rng, n, p)
+                assert chromatic_number_exact(graph) == exhaustive_chromatic(graph)
+    for n in (5, 7):  # odd cycles: clique number 2, chromatic number 3
+        cycle = mask_graph(np.roll(np.eye(n, dtype=bool), 1, 1) | np.roll(np.eye(n, dtype=bool), -1, 1))
+        assert chromatic_number_exact(cycle) == exhaustive_chromatic(cycle) == 3
 
 
 def test_bruteforce_clique_cap():

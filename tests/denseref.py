@@ -6,7 +6,8 @@ bare shift and clock, and tensor products are accumulated left to right.
 Group elements are chains of ``PauliOperator.multiply`` and ``power``, not
 the library's closed-form ``ordered_products``.  The optimisers at the end
 keep the matrix-by-matrix form of the oracle's ``max_sos`` and
-``max_product_overlap``.  The exact kernels after them are the scalar loops
+``max_product_overlap``, and the overlap ascent one restart at a time on an
+``eigh`` code basis.  The exact kernels after them are the scalar loops
 that the library's array kernels replaced: the pivoting clique search,
 row-by-row elimination and the vector-by-vector symplectic pass.
 """
@@ -15,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from frustgraph import GroupSpec, PauliOperator, canonical_form, element_indices
+from frustgraph import (
+    GroupSpec,
+    PauliOperator,
+    canonical_form,
+    element_indices,
+    stabilizer_projector,
+)
 from frustgraph.gf import exact_dtype
 
 RANK_CUTOFF = 1e-9  # singular values above this span the kept eigenspace
@@ -168,6 +175,54 @@ def max_product_overlap(stab, subset, cfg) -> float:
             vals, vecs = np.linalg.eigh(m_chi)
             chi = vecs[:, -1]
             new_value = float(vals[-1])
+            if abs(new_value - value) < cfg.tol:
+                value = new_value
+                break
+            value = new_value
+        best = max(best, value)
+    return float(best)
+
+
+def code_basis_eigh(stab) -> np.ndarray:
+    """Code basis as the eigenvectors of the dense projector with eigenvalue above 1/2."""
+    vals, vecs = np.linalg.eigh(stabilizer_projector(stab))
+    basis = vecs[:, vals > 0.5]
+    if basis.shape[1] != stab.d ** (stab.n_sites - stab.k):
+        raise RuntimeError(f"code projector has {basis.shape[1]} unit eigenvalues")
+    return basis
+
+
+def top_left(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of w w^dagger and a unit eigenvector, via the smaller Gram matrix."""
+    if w.shape[1] < w.shape[0]:
+        vals, vecs = np.linalg.eigh(w.conj().T @ w)
+        vec = w @ vecs[:, -1]
+        return float(vals[-1]), vec / np.linalg.norm(vec)
+    vals, vecs = np.linalg.eigh(w @ w.conj().T)
+    return float(vals[-1]), vecs[:, -1]
+
+
+def overlap_per_restart(stab, subset, cfg) -> float:
+    """Alternating product-state ascent on an eigh code basis, one restart at a time."""
+    d, n = stab.d, stab.n_sites
+    q_axes = [i - 1 for i in subset.indices]
+    rest_axes = [i for i in range(n) if i not in set(q_axes)]
+    dim_q = d ** len(q_axes)
+    code = (
+        code_basis_eigh(stab)
+        .reshape((d,) * n + (-1,))
+        .transpose(q_axes + rest_axes + [n])
+        .reshape(dim_q, d ** n // dim_q, -1)
+    )
+    rng = cfg.rng()
+    best = 0.0
+    for _ in range(cfg.restarts):
+        v = rng.normal(size=code.shape[1]) + 1j * rng.normal(size=code.shape[1])
+        chi = v / np.linalg.norm(v)
+        value = -1.0
+        for _ in range(cfg.max_iters):
+            _, phi = top_left(chi.conj() @ code)
+            new_value, chi = top_left(phi.conj() @ code.transpose(1, 0, 2))
             if abs(new_value - value) < cfg.tol:
                 value = new_value
                 break

@@ -255,7 +255,17 @@ def test_fuzzed_documents_exit_cleanly(tmp_path, capsys):
                 assert code in (0, 2), f"{command} exited {code} on {mutated!r}:\n{captured.err}"
 
 
-@pytest.mark.parametrize("option", [("--restarts", "0"), ("--tol", "0")])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--restarts", "0"),
+        ("--tol", "0"),
+        ("--seed", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
+    ],
+)
 def test_cli_rejects_bad_optimizer_option(option, capsys):
     argv = ["verify", "--builtin", "five_qudit", "--d", "3", "--sos", *option]
     assert main(argv) == 2

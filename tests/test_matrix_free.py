@@ -135,6 +135,60 @@ def test_code_basis_of_builtin_codes(name, d, n):
 
 
 CFG = OptimizerConfig(restarts=4, seed=11)
+BLOCKS = [1, oracle.RESTART_BLOCK - 1, oracle.RESTART_BLOCK + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_batched_overlap_matches_the_per_restart_loop(d, data):
+    n = data.draw(st.integers(2, 4 if d == 5 else 5))  # d^n within OVERLAP_DIM_CAP
+    k = data.draw(st.integers(1, n))
+    stab = graph_code(d, n, k, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    side = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    q = SiteSubset(tuple(side), n)
+    cfg = OptimizerConfig(
+        restarts=data.draw(st.sampled_from(BLOCKS)),
+        max_iters=data.draw(st.sampled_from([1, 2, 500])),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    got = max_product_overlap(stab, q, cfg)
+    assert abs(got - denseref.overlap_per_restart(stab, q, cfg)) < TIGHT
+
+
+def test_stacked_starts_are_successive_unit_draws():
+    rng = OptimizerConfig(seed=5).rng()
+    stacked = np.vstack([oracle._random_units(rng, 3, 9), oracle._random_units(rng, 4, 9)])
+    again = OptimizerConfig(seed=5).rng()
+    assert np.array_equal(stacked, [oracle._random_unit(again, 9) for _ in range(7)])
+
+
+def assert_overlap_is_top_schmidt_weight(stab: Stabilizer) -> None:
+    # k = n: the code space is one state, read off a column of the dense
+    # projector |s><s|; its best product overlap is the top Schmidt weight
+    d, n = stab.d, stab.n_sites
+    assert stab.k == n
+    proj = stabilizer_projector(stab)
+    j = int(np.argmax(np.abs(np.diagonal(proj))))
+    state = proj[:, j] / np.sqrt(proj[j, j].real)
+    for q in bipartitions(n):
+        q_axes = [i - 1 for i in q.indices]
+        rest = [i for i in range(n) if i not in q_axes]
+        schmidt = state.reshape((d,) * n).transpose(q_axes + rest).reshape(d ** q.size, -1)
+        top = np.linalg.svd(schmidt, compute_uv=False)[0] ** 2
+        assert abs(max_product_overlap(stab, q, CFG) - top) < TIGHT
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3) for n in range(2, 7)])
+def test_ghz_overlap_is_top_schmidt_weight(d, n):
+    assert_overlap_is_top_schmidt_weight(builtin_code("ghz", d, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_state_overlap_is_top_schmidt_weight(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 3, 5]))
+    n = int(rng.integers(2, 5 if d == 5 else 6))
+    assert_overlap_is_top_schmidt_weight(graph_code(d, n, n, rng))
 
 
 def assert_routes_agree(stab: Stabilizer) -> None:

@@ -9,6 +9,7 @@ import denseref
 from frustgraph import (
     EvenDimension,
     GFMatrix,
+    InvalidOption,
     GroupSpec,
     OptimizerConfig,
     PauliOperator,
@@ -160,6 +161,24 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1e-9},
+        {"max_iters": 0},
+        {"restarts": 2.0},
+    ],
+    ids=repr,
+)
+def test_optimizer_config_rejects_every_bad_field(field):
+    with pytest.raises(InvalidOption):
+        OptimizerConfig(**field)
 
 
 def test_energy_eigensolver_residual():

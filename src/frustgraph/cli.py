@@ -15,7 +15,8 @@ global phase omega^j; for d = 2 the half-integer forms w^<p>/2 express
 the quarter-turn phases (w^1/2 is the factor i).
 
 Exit codes: 0 success, 2 validation failure (including failed verify
-checks), 1 internal error.
+checks), 1 internal error, 141 (128 + SIGPIPE) when the reader of the
+report closes the pipe early.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -325,21 +328,17 @@ def _run_entanglement(doc: InputDocument, flags: CommandFlags) -> Report:
     if doc.mode == "group":
         raise InvalidMode("entanglement needs a stabilizer document")
     stab = Stabilizer(doc.generators)
-    stab.validate()
-    reports = stab.bipartition_reports()
+    scan = stab.bipartition_reports()
+    # one rendered measure per distinct rank, shared by its cuts
+    gm = {r: rational_dict(value) for r, value in scan.measures.items()}
     result = {
         "d": stab.d,
         "n_sites": stab.n_sites,
         "k": stab.k,
-        "is_gme": gme_from_reports(reports),
-        "ggm": rational_dict(ggm_from_reports(reports, stab.d)),
+        "is_gme": gme_from_reports(scan),
+        "ggm": rational_dict(ggm_from_reports(scan, stab.d)),
         "bipartitions": [
-            {
-                "Q": list(r.Q.indices),
-                "rank": r.rank_Q,
-                "gm": rational_dict(r.gm_exact),
-            }
-            for r in reports
+            {"Q": q, "rank": r, "gm": gm[r]} for q, r in zip(scan.sites, scan.ranks)
         ],
     }
     return Report("entanglement", doc.digest, result)
@@ -421,7 +420,6 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
             )
         elif name == "overlap":
             stab = Stabilizer(doc.generators)
-            stab.validate()
             worst = 0.0
             for report in stab.bipartition_reports():
                 numeric = 1.0 - max_product_overlap(stab, report.Q, cfg)
@@ -483,10 +481,50 @@ def _text_lines(report: Report) -> list[str]:
     return lines
 
 
+def _json_chunks(value, pad: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)``, nested at indent ``pad``, to ``out``.
+
+    Keys must be strings.  With an indent ``json.dumps`` falls back to its
+    pure-Python encoder, one chunk per token; here a list of plain ints,
+    such as a matrix row or a cut's sites, is one chunk, and the caller
+    joins the chunks once, so no nested level is copied.
+    """
+    if type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            out += ("[\n", inner, (",\n" + inner).join(map(int.__repr__, value)))
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _json_chunks(item, inner, out)
+                sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
-    """Deterministic serialization; field order is fixed by construction."""
+    """Deterministic serialization; field order is fixed by construction.
+
+    JSON is byte-for-byte ``json.dumps(report.to_dict(), indent=2)``.
+    """
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2)
+        out: list[str] = []
+        _json_chunks(report.to_dict(), "", out)
+        return "".join(out)
     return "\n".join(_text_lines(report))
 
 
@@ -552,7 +590,14 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
-    print(emit_report(report, args.format))
+    try:
+        print(emit_report(report, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at shutdown cannot fail again, and exit as if killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if args.command == "verify" and not report.result["all_pass"]:
         return 2
     return 0

@@ -19,8 +19,10 @@ graph is B A^T - A B^T mod d, and gamma_Q is the same product over the
 columns of the sites in Q.  The bipartition scan takes cuts in blocks of
 SCAN_BLOCK: one masked product over the tableau gives gamma_Q for every
 cut of the block, and one elimination vectorised over the block gives
-all their ranks.  Only the ranks are kept: a ``BipartitionReport`` holds
-Q, rank_Q and the exact measure gm_exact (gm_value is its float), and
+all their ranks.  Only the ranks are kept, as one list in a
+``BipartitionScan`` with the exact measure of each distinct rank; a
+``BipartitionReport`` (Q, rank_Q, the exact measure gm_exact and its
+float gm_value) is built when the scan is indexed, and
 ``Stabilizer.reduced_generating_graph(Q)`` gives the matrix gamma_Q of
 one cut.  The tableau dtype comes from ``gf.exact_dtype``: int64
 when 2 n (d-1)^2 < 2^63, so that no sum of exponent products can
@@ -29,8 +31,10 @@ overflow, and exact Python ints otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -64,10 +68,16 @@ def _cut_count(n_sites: int) -> int:
     return (1 << (n_sites - 1)) - 1
 
 
-def _cut(mask: int, n_sites: int) -> SiteSubset:
-    """Side Q of cut number ``mask``: site 1, plus site i + 2 for bit i."""
-    picked = [1] + [i + 2 for i in range(n_sites - 1) if (mask >> i) & 1]
-    return SiteSubset(tuple(picked), n_sites)
+def _cut_sites(n_sites: int) -> list[list[int]]:
+    """Side Q of every cut as a sorted site list, in ``bipartitions`` order.
+
+    Doubling on site i + 2 appends the masks with bit i set after those
+    without it, which is binary counting.
+    """
+    qs = [[1]]
+    for i in range(n_sites - 1):
+        qs += [q + [i + 2] for q in qs]
+    return qs[:-1]  # the last list holds every site: not a cut
 
 
 def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
@@ -77,7 +87,9 @@ def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
     scan over bipartitions is reproducible.
     """
     for mask in range(_cut_count(n_sites)):
-        yield _cut(mask, n_sites)
+        # site 1, plus site i + 2 for bit i of the mask
+        picked = [1] + [i + 2 for i in range(n_sites - 1) if (mask >> i) & 1]
+        yield SiteSubset(tuple(picked), n_sites)
 
 
 class Stabilizer:
@@ -164,8 +176,8 @@ class Stabilizer:
         r = rank(self.reduced_generating_graph(subset))
         return BipartitionReport(subset, r, self._measure(r))
 
-    def bipartition_reports(self) -> list["BipartitionReport"]:
-        """One report per bipartition, in the order of ``bipartitions``."""
+    def bipartition_reports(self) -> "BipartitionScan":
+        """Every bipartition's rank and measure, in ``bipartitions`` order."""
         self.validate()
         count = _cut_count(self.n_sites)
         if count > DEFAULT_BIPARTITION_CAP:
@@ -173,8 +185,7 @@ class Stabilizer:
                 f"{count} bipartitions exceed the cap of {DEFAULT_BIPARTITION_CAP}"
             )
         d, n = self.d, self.n_sites
-        reports = []
-        measures = {}  # rank -> exact measure; few distinct ranks per scan
+        ranks: list[int] = []
         for start in range(0, count, SCAN_BLOCK):
             masks = range(start, min(start + SCAN_BLOCK, count))
             # sides[c, s] = 1 iff site s + 1 is in Q for cut masks[c]
@@ -182,12 +193,9 @@ class Stabilizer:
             sides[:, 1:] = (np.array(masks)[:, None] >> np.arange(n - 1)) & 1
             half = np.einsum("in,cn,jn->cij", self._B, sides, self._A)
             gammas = (half - half.transpose(0, 2, 1)) % d
-            ranks = rank_stack(gammas, d).tolist()
-            for mask, r in zip(masks, ranks):
-                if r not in measures:
-                    measures[r] = self._measure(r)
-                reports.append(BipartitionReport(_cut(mask, n), r, measures[r]))
-        return reports
+            ranks += rank_stack(gammas, d).tolist()
+        measures = {r: self._measure(r) for r in sorted(set(ranks))}
+        return BipartitionScan(n, ranks, measures)
 
     def ggm_measure(self) -> float:
         """Minimum geometric measure over all bipartitions.
@@ -211,24 +219,55 @@ class Stabilizer:
         return gm
 
 
-def gme_from_reports(reports: list["BipartitionReport"]) -> bool:
+class BipartitionScan(Sequence):
+    """A full bipartition scan, one cut per item in ``bipartitions`` order.
+
+    ``ranks`` holds rank(gamma_Q) per cut, ``sites`` the sorted side Q per
+    cut (built on first use), and ``measures`` the exact measure of each
+    rank that occurs.  Indexing or iterating builds ``BipartitionReport``s.
+    """
+
+    def __init__(self, n_sites: int, ranks: list[int], measures: dict[int, Fraction]):
+        self.n_sites = n_sites
+        self.ranks = ranks
+        self.measures = measures
+
+    @cached_property
+    def sites(self) -> list[list[int]]:
+        return _cut_sites(self.n_sites)
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        r = self.ranks[i]
+        q = SiteSubset(tuple(self.sites[i]), self.n_sites)
+        return BipartitionReport(q, r, self.measures[r])
+
+
+def gme_from_reports(scan: BipartitionScan) -> bool:
     """Genuine multipartite entanglement read off a full bipartition scan.
 
     True iff there is at least one cut and no cut has a vanishing reduced
     generating graph.
     """
-    return bool(reports) and all(r.rank_Q > 0 for r in reports)
+    return min(scan.ranks, default=0) > 0
 
 
-def ggm_from_reports(reports: list["BipartitionReport"], d: int) -> Fraction:
+def ggm_from_reports(scan: BipartitionScan, d: int) -> Fraction:
     """Exact minimum measure over a full bipartition scan, 0 with no cut.
 
-    When the scan shows genuine multipartite entanglement the minimum is
-    exactly (d-1)/d, and that equality is asserted.
+    The measure grows with the rank, so the minimum is the measure of the
+    least rank.  When the scan shows genuine multipartite entanglement it
+    is exactly (d-1)/d, and that equality is asserted.
     """
-    least = min((r.gm_exact for r in reports), default=Fraction(0))
+    if not scan.ranks:
+        return Fraction(0)
+    least = scan.measures[min(scan.ranks)]
     expected = Fraction(d - 1, d)
-    if gme_from_reports(reports) and least != expected:
+    if gme_from_reports(scan) and least != expected:
         raise RuntimeError(
             f"entangled subspace has minimum measure {least}, "
             f"expected {expected}"

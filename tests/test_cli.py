@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import random
@@ -10,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frustgraph import (
     DimensionMismatch,
@@ -32,7 +35,8 @@ from frustgraph.cli import (
 )
 from frustgraph.stabilizer import Stabilizer, builtin_code
 
-DOCS_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "inputs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS_DIR = ROOT / "docs" / "inputs"
 
 GHZ3_TEXT = "d=2 n=3\ng1: X X X\ng2: Z Z I\ng3: I Z Z\n"
 XZ3_TEXT = "d=3 n=1\ng1: X\ng2: Z\n"
@@ -182,6 +186,57 @@ def test_emit_report_integer_fields_stay_integers():
     assert json.loads(emit_report(report, "json"))["result"]["clique_number"] == 4
 
 
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 63, max_value=2 ** 80).map(lambda v: -v),
+    st.integers(min_value=2 ** 63, max_value=2 ** 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+    st.lists(st.integers(), min_size=1, max_size=5),  # the plain-int fast path
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({})
+@example({"": [], "\"quote\\back\x00\x1f\u00e9\u2603\U0001f600": {"a": {}}})
+@example([[1, True], [0, None], [-0.0, float("nan")], [2 ** 64, -(2 ** 64)]])
+def test_emit_report_json_is_indent_two_dumps(tree):
+    report = Report(command="analyze", input_digest="x", result={"tree": tree})
+    assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "frustgraph_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["cut_scan", "group_bounds"])
+def test_emit_report_json_on_benchmark_documents(workload):
+    for job in _load_workloads().make_jobs(workload, 1):
+        doc = parse_document(job.text)
+        commands = ("analyze", "canonical") if job.command == "bounds" else (job.command,)
+        for command in commands:
+            report = run_command(command, doc, CommandFlags())
+            assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
+
+
 def test_real_str_significant_digits():
     assert real_str(0.5) == "0.500000000000"
     assert real_str(0.0) == "0.000000000000"
@@ -219,6 +274,22 @@ def test_cli_exit_codes(tmp_path):
 
     proc = _run_cli("analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # the report is far larger than a pipe buffer, so the write must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frustgraph", "entanglement", "--builtin", "ghz",
+         "--d", "3", "--n", "12", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 FUZZ_ALPHABET = "XZIxz^-+0123456789=: \n\t#gdnmode"

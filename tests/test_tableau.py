@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from frustgraph import (
 from frustgraph.cli import parse_document
 from frustgraph.gf import exact_dtype, rank_stack
 from frustgraph.pauli import commutator_matrix, exponent_tableau
-from frustgraph.stabilizer import SCAN_BLOCK
+from frustgraph.stabilizer import (
+    SCAN_BLOCK,
+    BipartitionScan,
+    ggm_from_reports,
+    gme_from_reports,
+)
 
 BIG_PRIME = 2 ** 31 - 1  # int64 products of two residues fit, sums of three do not
 
@@ -120,6 +126,61 @@ def test_scan_spanning_several_blocks():
         for j in range(i + 1, n):
             adj[i][j] = adj[j][i] = rng.randrange(3)
     assert_scan_matches_scalar(graph_state(3, adj))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_scan_sites_follow_bipartitions(n):
+    scan = BipartitionScan(n, [], {})
+    assert scan.sites == [list(q.indices) for q in bipartitions(n)]
+    assert (n == 1) == (scan.sites == [])
+
+
+def seeded_graph_state(d: int, n: int, seed: int, density: float = 0.5) -> Stabilizer:
+    rng = random.Random(seed)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i][j] = adj[j][i] = rng.randrange(1, d)
+    return graph_state(d, adj)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_scan_items_are_the_per_cut_measures(d):
+    for seed in range(3):
+        stab = seeded_graph_state(d, 6, seed)
+        scan = stab.bipartition_reports()
+        want = [stab.gm_measure(q) for q in bipartitions(stab.n_sites)]
+        assert len(scan) == len(want) == 31
+        assert list(scan) == want
+        assert scan[-1] == want[-1] and scan[3:7] == want[3:7]
+        assert scan.ranks == [r.rank_Q for r in want]
+
+
+def test_gme_and_ggm_from_the_least_rank():
+    # old rule: every cut read as a report, the least Fraction kept
+    def per_report(scan, d):
+        reports = list(scan)
+        gme = bool(reports) and all(r.rank_Q > 0 for r in reports)
+        return gme, min((r.gm_exact for r in reports), default=Fraction(0))
+
+    single_site = Stabilizer([PauliOperator(3, (1,), (0,))])
+    cases = [
+        single_site,  # no cut
+        seeded_graph_state(3, 5, 0, density=0.0),  # product state: every rank 0
+        graph_state(2, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),  # some cuts rank 0
+        builtin_code("five_qudit", 5, 5),
+        builtin_code("ghz", 3, 6),
+    ] + [seeded_graph_state(d, 5, seed) for d in (2, 3, 5) for seed in range(4)]
+    seen = set()
+    for stab in cases:
+        scan = stab.bipartition_reports()
+        gme, ggm = per_report(scan, stab.d)
+        assert gme_from_reports(scan) == gme == stab.is_gme()
+        assert ggm_from_reports(scan, stab.d) == ggm
+        assert stab.ggm_measure() == float(ggm)
+        seen.add((len(scan) > 0, min(scan.ranks, default=None) == 0, gme))
+    assert {(False, False, False), (True, True, False), (True, False, True)} <= seen
 
 
 def test_scan_exact_at_large_prime():

@@ -392,32 +392,16 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
             entries.append(
                 _check_entry("theta", abs(total - want), BOUND_TOLERANCE, d=d_abstract)
             )
-        elif name == "sos":
+        elif name in ("sos", "sum"):
             spec = spec or GroupSpec.from_generators(doc.generators)
-            bound = float(sos_bound(spec))
-            got = max_sos(spec, cfg)
-            entries.append(
-                _check_entry(
-                    "sos",
-                    abs(got - bound),
-                    BOUND_TOLERANCE,
-                    value=real_str(got),
-                    bound=real_str(bound),
-                )
-            )
-        elif name == "sum":
-            spec = spec or GroupSpec.from_generators(doc.generators)
-            bound = sum_bound(spec)
-            got = max_sum_eigenvalue(spec)
-            entries.append(
-                _check_entry(
-                    "sum",
-                    max(0.0, got - bound),
-                    BOUND_TOLERANCE,
-                    value=real_str(got),
-                    bound=real_str(bound),
-                )
-            )
+            if name == "sos":
+                bound, got = float(sos_bound(spec)), max_sos(spec, cfg)
+                deviation = abs(got - bound)
+            else:  # the sum bound is an upper bound only
+                bound, got = sum_bound(spec), max_sum_eigenvalue(spec)
+                deviation = max(0.0, got - bound)
+            entries.append(_check_entry(name, deviation, BOUND_TOLERANCE,
+                                        value=real_str(got), bound=real_str(bound)))
         elif name == "overlap":
             stab = Stabilizer(doc.generators)
             worst = 0.0

@@ -2,14 +2,15 @@
 
 Everything here is integer arithmetic: elimination uses modular inverses,
 so ranks, nullspaces and matrix inverses are exact rather than floating
-point.  All matrices in this library are tiny (generator counts, never
-Hilbert-space dimensions), so there is no sparsity or fancy pivoting;
-pivots are always the first row with a nonzero entry, which keeps every
-derived basis reproducible.
+point.  Matrices are tiny (generator counts, never Hilbert-space
+dimensions); pivots are always the first row with a nonzero entry, which
+keeps every derived basis reproducible.  ``alternating_ranks`` ranks a
+stack of alternating matrices by pair-block elimination, without inverses.
 
 Scalars of Z_d are plain Python ints.  Integer arrays follow one rule,
 ``exact_dtype``: int64 while no sum they hold can overflow it, Python ints
-(object dtype) beyond that, so every result is exact whatever d is.
+(object dtype) beyond that, so every result is exact whatever d is; the
+stacks of ``alternating_ranks`` are int16 where that fits (``block_dtype``).
 Moduli are proven prime by deterministic Miller-Rabin (``is_prime``),
 which is exact below MILLER_RABIN_BOUND; a larger d is refused.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPrimeModulus, Singular, TooLarge
+from .errors import DimensionMismatch, NonPrimeModulus, NotAntisymmetric, Singular, TooLarge
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -76,6 +77,17 @@ def exact_dtype(d: int, terms: int = 1):
     storage and elimination (a residue minus a product of two).
     """
     return np.int64 if terms * (d - 1) ** 2 < 2 ** 63 else object
+
+
+def block_dtype(d: int, terms: int):
+    """int16 when 3 (d-1)^2 and a sum of ``terms`` residues fit, else ``exact_dtype(d, 3)``."""
+    small = 3 * (d - 1) ** 2 < 2 ** 15 and terms * (d - 1) < 2 ** 15  # d <= 103 at 16 sites
+    return np.int16 if small else exact_dtype(d, 3)
+
+
+def reduce_mod(x: np.ndarray, d: int) -> np.ndarray:
+    """``x % d``: numpy floor-divides by a scalar without a hardware division."""
+    return x - x // d * d
 
 
 _python_ints = np.frompyfunc(int, 1, 1)  # object array -> Python int entries
@@ -221,29 +233,30 @@ def invert(matrix: GFMatrix) -> GFMatrix:
     return GFMatrix(R[:, n:], matrix.d)
 
 
-def rank_stack(stack: np.ndarray, d: int) -> np.ndarray:
-    """Ranks over Z_d of a (C, rows, cols) stack of matrices, one per C.
+def alternating_ranks(stack: np.ndarray, d: int) -> np.ndarray:
+    """Ranks over Z_d of a (C, k, k) stack of alternating matrices.
 
-    Eliminates column by column for all matrices at once.  In each matrix
-    the first row with a nonzero entry in the column is the pivot; every
-    row r becomes p r - r_c (pivot row), with p the pivot entry, which
-    clears the column without a modular inverse and retires the pivot row
-    to zero.  The cleared column is then dropped, and the rank is the
-    number of columns that found a pivot.
-
-    Entries must be reduced mod d, in a dtype at least as wide as
-    ``exact_dtype(d)``.
+    Each step takes every matrix's first nonzero entry g = G[i, j] and sets
+    G <- g G - r_i^T r_j + r_j^T r_i mod d (r_i is row i): g times the Schur
+    complement of the pair block on rows and columns i, j, so the rank drops
+    by 2.  All-zero matrices leave the stack.  Entries are residues and no
+    inverse is taken, so object entries stay exact; other dtypes must hold
+    3 (d-1)^2 (``block_dtype``).
     """
-    R = np.asarray(stack)
-    ranks = np.zeros(R.shape[0], dtype=np.int64)
-    members = np.arange(R.shape[0])
-    while R.shape[2]:
-        col = R[:, :, 0]
-        nonzero = col != 0
-        found = nonzero.any(axis=1)
-        pivot_row = R[members, nonzero.argmax(axis=1)]
-        scale = np.where(found, pivot_row[:, 0], 1)
-        rest = R[:, :, 1:]
-        R = (scale[:, None, None] * rest - col[:, :, None] * pivot_row[:, None, 1:]) % d
-        ranks += found
-    return ranks
+    G = np.asarray(stack)
+    ranks = np.zeros(len(G), dtype=np.int64)
+    members = np.arange(len(G))
+    for _ in range(G.shape[-1] // 2 + 1):  # k // 2 pair steps, then all are zero
+        nonzero = (G != 0).reshape(-1, G.shape[1] ** 2)
+        live = nonzero.any(axis=1)
+        if not live.all():
+            G, members, nonzero = G[live], members[live], nonzero[live]
+        if not len(G):
+            return ranks
+        ranks[members] += 2
+        at = np.arange(len(G))
+        i, j = np.divmod(nonzero.argmax(axis=1), G.shape[1])
+        g, r_i, r_j = G[at, i, j], G[at, i], G[at, j]
+        G = reduce_mod(g[:, None, None] * G - np.einsum("ca,cb->cab", r_i, r_j)
+                       + np.einsum("ca,cb->cab", r_j, r_i), d)
+    raise NotAntisymmetric("a matrix of the stack is not alternating")

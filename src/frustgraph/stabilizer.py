@@ -16,10 +16,11 @@ asserted, not just returned.
 The generators are held as a k x 2n exponent tableau (A | B), X exponents
 in A and Z exponents in B, built once per stabilizer.  The generating
 graph is B A^T - A B^T mod d, and gamma_Q is the same product over the
-columns of the sites in Q.  The bipartition scan takes cuts in blocks of
-SCAN_BLOCK: one masked product over the tableau gives gamma_Q for every
-cut of the block, and one elimination vectorised over the block gives
-all their ranks.  Only the ranks are kept, as one list in a
+columns of the sites in Q, a sum of per-site forms gamma_s = b_s a_s^T -
+a_s b_s^T of rank at most 2.  The bipartition scan forms them once; per
+block of cuts, one product with the 0/1 site indicators gives every
+gamma_Q, and ``gf.alternating_ranks`` ranks them by pair-block
+elimination.  Only the ranks are kept, as one list in a
 ``BipartitionScan`` with the exact measure of each distinct rank; a
 ``BipartitionReport`` (Q, rank_Q, the exact measure gm_exact and its
 float gm_value) is built when the scan is indexed, and
@@ -49,7 +50,7 @@ from .errors import (
     TooManyBipartitions,
     UnknownCode,
 )
-from .gf import GFMatrix, nullspace_basis, rank, rank_stack
+from .gf import GFMatrix, alternating_ranks, block_dtype, nullspace_basis, rank, reduce_mod
 from .pauli import (
     PauliOperator,
     SiteSubset,
@@ -59,9 +60,9 @@ from .pauli import (
 )
 
 DEFAULT_BIPARTITION_CAP = 2 ** 15 - 1  # handles n_sites up to 16
-# cuts per batched step of the scan; bounds its temporaries to
-# SCAN_BLOCK * k * k entries whatever the number of cuts
-SCAN_BLOCK = 256
+# cuts per batched step of the scan in int16, fewer in wider dtypes: its
+# temporaries stay at 2 SCAN_BLOCK k^2 bytes whatever the number of cuts
+SCAN_BLOCK = 1024
 
 
 def _cut_count(n_sites: int) -> int:
@@ -184,16 +185,18 @@ class Stabilizer:
             raise TooManyBipartitions(
                 f"{count} bipartitions exceed the cap of {DEFAULT_BIPARTITION_CAP}"
             )
-        d, n = self.d, self.n_sites
+        d, n, k = self.d, self.n_sites, self.k
+        # gamma_Q is the sum over s in Q of the per-site forms gamma_s
+        per_site = np.array([commutator_matrix(self._A[:, [s]], self._B[:, [s]], d)
+                             for s in range(n)], dtype=block_dtype(d, n)).reshape(n, k * k)
+        block = SCAN_BLOCK * 2 // per_site.itemsize
         ranks: list[int] = []
-        for start in range(0, count, SCAN_BLOCK):
-            masks = range(start, min(start + SCAN_BLOCK, count))
-            # sides[c, s] = 1 iff site s + 1 is in Q for cut masks[c]
-            sides = np.ones((len(masks), n), dtype=self._A.dtype)
-            sides[:, 1:] = (np.array(masks)[:, None] >> np.arange(n - 1)) & 1
-            half = np.einsum("in,cn,jn->cij", self._B, sides, self._A)
-            gammas = (half - half.transpose(0, 2, 1)) % d
-            ranks += rank_stack(gammas, d).tolist()
+        for start in range(0, count, block):
+            # bit s of 2 mask + 1 is 1 iff site s + 1 is in Q: site 1 always is
+            masks = 2 * np.arange(start, min(start + block, count)) + 1
+            sides = ((masks[:, None] >> np.arange(n)) & 1).astype(per_site.dtype)
+            gammas = reduce_mod(np.einsum("cs,sq->cq", sides, per_site), d)
+            ranks += alternating_ranks(gammas.reshape(-1, k, k), d).tolist()
         measures = {r: self._measure(r) for r in sorted(set(ranks))}
         return BipartitionScan(n, ranks, measures)
 

@@ -109,7 +109,7 @@ def test_is_gme_cap(monkeypatch):
     def no_scan(*_args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("frustgraph.stabilizer.rank_stack", no_scan)
+    monkeypatch.setattr("frustgraph.stabilizer.alternating_ranks", no_scan)
     stab = builtin_code("ghz", 2, 17)
     assert 2 ** 16 - 1 > DEFAULT_BIPARTITION_CAP
     with pytest.raises(TooManyBipartitions, match="65535 bipartitions"):

@@ -27,7 +27,8 @@ from frustgraph import (
     rank,
 )
 from frustgraph.cli import parse_document
-from frustgraph.gf import exact_dtype, rank_stack
+from frustgraph.errors import NotAntisymmetric
+from frustgraph.gf import alternating_ranks, block_dtype, exact_dtype
 from frustgraph.pauli import commutator_matrix, exponent_tableau
 from frustgraph.stabilizer import (
     SCAN_BLOCK,
@@ -118,7 +119,8 @@ def test_scan_with_quarter_turn_phases():
 
 def test_scan_spanning_several_blocks():
     rng = random.Random(0)
-    n = 10
+    n = 12
+    assert block_dtype(3, n) is np.int16  # int16 blocks hold SCAN_BLOCK cuts
     assert (2 ** (n - 1) - 1) % SCAN_BLOCK
     assert 2 ** (n - 1) - 1 > SCAN_BLOCK
     adj = [[0] * n for _ in range(n)]
@@ -126,6 +128,17 @@ def test_scan_spanning_several_blocks():
         for j in range(i + 1, n):
             adj[i][j] = adj[j][i] = rng.randrange(3)
     assert_scan_matches_scalar(graph_state(3, adj))
+
+
+@pytest.mark.parametrize("d, dtype", [(103, np.int16), (107, np.int64)])
+def test_scan_at_the_int16_boundary(d, dtype):
+    # every adjacency entry d - 1 drives the sums and the elimination steps
+    # to their extremes; at d = 107 the int64 blocks of SCAN_BLOCK / 4 cuts
+    # split the 511 cuts of 10 sites
+    n = 10
+    assert block_dtype(d, n) is dtype
+    assert_scan_matches_scalar(graph_state(d, [[(d - 1) * (i != j) for j in range(n)]
+                                               for i in range(n)]))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -191,28 +204,47 @@ def test_scan_exact_at_large_prime():
     assert_scan_matches_scalar(stab)
 
 
-@settings(max_examples=30, deadline=None)
+P32 = 4294967311  # first prime above 2^32: object dtype everywhere
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    d=st.sampled_from([2, 3, 5, 7]),
-    rows=st.integers(1, 7),
-    cols=st.integers(1, 7),
-    count=st.integers(2, 40),
+    d=st.sampled_from([2, 3, 5, 7, 103, 107, BIG_PRIME, P32]),
+    k=st.integers(1, 9),
+    count=st.integers(3, 40),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-@example(d=7, rows=6, cols=6, count=SCAN_BLOCK + 1, seed=0)
-def test_rank_stack_matches_scalar_rank(d, rows, cols, count, seed):
+@example(d=103, k=9, count=SCAN_BLOCK + 1, seed=0)
+@example(d=P32, k=8, count=5, seed=1)
+def test_alternating_ranks_match_scalar_rank(d, k, count, seed):
     rng = np.random.default_rng(seed)
-    stack = rng.integers(0, d, (count, rows, cols))
-    # every third member sparse, so low ranks occur
-    stack[::3] *= rng.random(stack[::3].shape) < 0.3
+    dtype = block_dtype(d, 1)
+
+    def alternating(upper):
+        upper = np.triu(upper, 1)
+        return (upper - upper.T) % d
+
+    uppers = rng.integers(0, d, (count, k, k)).astype(object)
+    uppers[::3] *= rng.random(uppers[::3].shape) < 0.2  # sparse, so low ranks occur
+    stack = np.stack([alternating(upper) for upper in uppers])
     stack[0] = 0
-    diagonal = np.eye(rows, cols, dtype=np.int64) * rng.integers(1, d, cols)
-    full = (np.triu(rng.integers(0, d, (rows, cols)), 1) + diagonal) % d
-    stack[-1] = full[rng.permutation(rows)]
-    got = rank_stack(stack, d)
+    stack[1] = alternating(np.full((k, k), d - 1, dtype=object))
+    # full rank: T^T J T with J unit pair blocks and T unit upper triangular
+    pairs = np.zeros((k, k), dtype=object)
+    for i in range(0, k - 1, 2):
+        pairs[i, i + 1] = int(rng.integers(1, d))
+    T = np.triu(rng.integers(0, d, (k, k)), 1).astype(object) + np.eye(k, dtype=int)
+    stack[-1] = (T.T @ alternating(pairs) @ T) % d
+    got = alternating_ranks(stack.astype(dtype), d)
     assert got.tolist() == [rank(GFMatrix(m, d)) for m in stack]
     assert got[0] == 0
-    assert got[-1] == min(rows, cols)
+    assert got[-1] == k - k % 2
+
+
+def test_alternating_ranks_refuse_other_matrices():
+    # a nonzero diagonal entry is never cleared: refused, not looped on
+    with pytest.raises(NotAntisymmetric):
+        alternating_ranks(np.eye(3, dtype=np.int16)[None], 5)
 
 
 exponent = st.one_of(st.integers(0, BIG_PRIME - 1), st.just(BIG_PRIME - 1))

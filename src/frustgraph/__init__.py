@@ -65,6 +65,7 @@ from .oracle import (
     dense_pauli,
     lagrange_extremum,
     max_product_overlap,
+    max_product_overlaps,
     max_sos,
     max_sum_eigenvalue,
     stabilizer_projector,
@@ -121,6 +122,7 @@ __all__ = [
     "is_prime",
     "lagrange_extremum",
     "max_product_overlap",
+    "max_product_overlaps",
     "max_sos",
     "max_sum_eigenvalue",
     "nullspace_basis",

@@ -11,6 +11,7 @@ from explicit complex vectors and matrices:
 * ``max_sos``           maximise sum |<A>|^2 over the group, two ways
 * ``max_sum_eigenvalue``    top eigenvalue of sum (A + A^dagger)
 * ``max_product_overlap``   alternating product-state ascent on the code space
+* ``max_product_overlaps``  the same ascent for many cuts, stacked per cut size
 * ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2 found numerically
 * ``theta_state``       the single-site state saturating the energy bound
 
@@ -21,8 +22,8 @@ derives idx and the exact phases of many operators at once from their
 exponent arrays.  ``max_sos`` applies every row of ``GroupSpec.elements``
 that way and refines a single vector into its commuting witness,
 ``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
-tables into one dense sum, and ``max_product_overlap`` runs stacked
-restarts on an orthonormal basis of the code space, random columns pushed
+tables into one dense sum, and ``max_product_overlaps`` runs stacked cuts
+and restarts on an orthonormal basis of the code space, random columns pushed
 through the factors (1/d) sum_s g^s of the code projector, orthonormalised
 once per ``Stabilizer`` and cached on it.
 
@@ -55,8 +56,8 @@ DENSE_DIM_CAP = 4096
 ENERGY_DIM_CAP = 1024
 OVERLAP_DIM_CAP = 1024
 SWAP_D_CAP = 11
-# overlap-ascent restarts advanced together as one stack
-RESTART_BLOCK = 16
+# complex entries one chunk of the stacked overlap ascent may allocate
+_OVERLAP_ENTRIES = 2 ** 16
 # entries per block of action tables scattered into a dense element sum
 _TABLE_ENTRIES = 2 ** 20
 
@@ -341,17 +342,32 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
 def _top_left(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalues of w w^dagger over a stack w, and unit eigenvectors.
 
-    Diagonalises the smaller of w w^dagger and w^dagger w for the whole
-    stack; both share their nonzero eigenvalues, and w maps eigenvectors
-    of the second to those of the first.
+    Works on the smaller Gram matrix g of w w^dagger and w^dagger w (w maps
+    eigenvectors of the second to the first).  If tr g > 0 and g g = c g for
+    c = ||g||_F^2 / tr g, g is c times a projector: c is its top eigenvalue
+    and its column of largest diagonal a top eigenvector.  Only the other
+    members of the stack go to one ``eigh``.
     """
-    wh = w.conj().transpose(0, 2, 1)
-    if w.shape[2] < w.shape[1]:
-        vals, vecs = np.linalg.eigh(wh @ w)
-        vec = (w @ vecs[:, :, -1:])[:, :, 0]
-        return vals[:, -1], vec / np.linalg.norm(vec, axis=1, keepdims=True)
-    vals, vecs = np.linalg.eigh(w @ wh)
-    return vals[:, -1], vecs[:, :, -1]
+    small = w.shape[2] < w.shape[1]
+    g = w.conj().transpose(0, 2, 1) @ w if small else w @ w.conj().transpose(0, 2, 1)
+    diag = np.einsum("sii->si", g).real
+    trace = diag.sum(axis=1)
+    slack = g @ g  # g is Hermitian, so tr(g g) = ||g||_F^2
+    vals = np.einsum("sii->s", slack).real / np.where(trace > 0, trace, 1)
+    vecs = g[np.arange(len(g)), :, np.argmax(diag, axis=1)]
+    slack -= vals[:, None, None] * g
+    slack = np.abs(slack).max(axis=(1, 2))
+    rest = np.flatnonzero((trace <= 0) | (slack > 1e-13 * np.maximum(vals, 1) ** 2))
+    if rest.size:
+        top, eigvecs = np.linalg.eigh(g[rest])
+        vals[rest], vecs[rest] = top[:, -1], eigvecs[:, :, -1]
+    if small:
+        vecs = (w @ vecs[:, :, None])[:, :, 0]
+    pairs = vecs.view(np.float64)  # real and imaginary parts, without a copy
+    norms = np.sqrt(np.einsum("si,si->s", pairs, pairs))
+    vecs[norms == 0, 0] = 1.0  # w = 0: every unit vector is a top eigenvector
+    vecs /= np.where(norms > 0, norms, 1.0)[:, None]
+    return vals, vecs
 
 
 def max_product_overlap(
@@ -363,11 +379,22 @@ def max_product_overlap(
     other is the top eigenvector of the partially contracted projector.
     With P = V V^dagger for the cached code basis V, contracting V with
     the fixed factor gives a matrix W whose W W^dagger is that contracted
-    projector; for RESTART_BLOCK restarts at a time that is one matrix
-    product, and each restart stops once its value moves less than
+    projector, and each restart stops once its value moves less than
     ``cfg.tol``.  The result is a certified lower bound on the true
     maximum; with restarts it reaches it for the desk-scale cases tested
     here.
+    """
+    return max_product_overlaps(stab, [subset], cfg)[0]
+
+
+def max_product_overlaps(
+    stab: Stabilizer, subsets: list[SiteSubset], cfg: OptimizerConfig | None = None
+) -> list[float]:
+    """``max_product_overlap`` of every cut, one stacked ascent per cut size.
+
+    Every cut restarts ``cfg.rng()``, so cuts with equal |Q| share their
+    starts and advance together; a chunk holds as many cuts and restarts
+    as fit in _OVERLAP_ENTRIES complex entries, and at least one of each.
     """
     cfg = cfg or OptimizerConfig()
     stab.validate()
@@ -375,42 +402,68 @@ def max_product_overlap(
     dim = d ** n
     if dim > OVERLAP_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {OVERLAP_DIM_CAP}")
-    if subset.n_sites != n:
-        raise BadSubset(f"subset is over {subset.n_sites} sites, need {n}")
-    if not subset.is_proper:
-        raise BadSubset("bipartition side must be a proper subset")
+    for subset in subsets:
+        if subset.n_sites != n:
+            raise BadSubset(f"subset is over {subset.n_sites} sites, need {n}")
+        if not subset.is_proper:
+            raise BadSubset("bipartition side must be a proper subset")
 
-    q_axes = [i - 1 for i in subset.indices]
-    rest_axes = [i for i in range(n) if i not in set(q_axes)]
-    dim_q = d ** len(q_axes)
-    dim_rest = dim // dim_q
-    code = (
-        _code_basis(stab)
-        .reshape((d,) * n + (-1,))
-        .transpose(q_axes + rest_axes + [n])
-        .reshape(dim_q, dim_rest, -1)
-    )
-    by_q = code.reshape(dim_q, -1)
-    by_rest = code.transpose(1, 0, 2).reshape(dim_rest, -1)
-
-    rng = cfg.rng()
-    best = 0.0
-    for start in range(0, cfg.restarts, RESTART_BLOCK):
-        chi = _random_units(rng, min(RESTART_BLOCK, cfg.restarts - start), dim_rest)
-        value = np.full(len(chi), -1.0)
-        live = np.arange(len(chi))
-        for _ in range(cfg.max_iters):
-            _, phi = _top_left((chi[live].conj() @ by_rest).reshape(len(live), dim_q, -1))
-            new_value, chi[live] = _top_left(
-                (phi.conj() @ by_q).reshape(len(live), dim_rest, -1)
-            )
-            done = np.abs(new_value - value[live]) < cfg.tol
-            value[live] = new_value
-            live = live[~done]
-            if not live.size:
-                break
-        best = max(best, float(value.max()))
+    basis = _code_basis(stab)
+    width = basis.shape[1]
+    best = [0.0] * len(subsets)
+    for size in sorted({subset.size for subset in subsets}):
+        cuts = [i for i, subset in enumerate(subsets) if subset.size == size]
+        dim_q = d ** size
+        big = max(dim_q, dim // dim_q)
+        # a cut's two code layouts; a restart's larger W, its conjugate,
+        # four Gram-sized arrays and four factor vectors
+        per_cut = 2 * dim * width
+        per_restart = 2 * big * (width + 2) + 4 * min(big, width) ** 2
+        block = min(cfg.restarts, max(1, (_OVERLAP_ENTRIES - per_cut) // per_restart))
+        step = max(1, _OVERLAP_ENTRIES // (per_cut + block * per_restart))
+        rng = cfg.rng()
+        for first in range(0, cfg.restarts, block):
+            starts = _random_units(rng, min(block, cfg.restarts - first), dim // dim_q)
+            for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
+                values = _overlap_ascent(basis, d, [subsets[i] for i in chunk], starts, cfg)
+                for i, value in zip(chunk, values.max(axis=1)):
+                    best[i] = max(best[i], float(value))
     return best
+
+
+def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.ndarray:
+    """Final (cut, restart) values of the ascent from ``starts`` on cuts of one size.
+
+    Each half-step is one batched matrix product over the permuted code
+    bases, by_q as (dim_q, dim_rest * width) and by_rest as (dim_rest, ...).
+    """
+    cuts, (count, dim_rest) = len(subsets), starts.shape
+    n = subsets[0].n_sites
+    dim_q = d ** n // dim_rest
+    tensor = basis.reshape((d,) * n + (-1,))
+    by_q = np.empty((cuts, dim_q, basis.size // dim_q), dtype=np.complex128)
+    by_rest = np.empty((cuts, dim_rest, basis.size // dim_rest), dtype=np.complex128)
+    for c, subset in enumerate(subsets):
+        q_axes = [j - 1 for j in subset.indices]
+        rest_axes = [j for j in range(n) if j not in q_axes]
+        by_q[c].reshape(tensor.shape)[...] = tensor.transpose(q_axes + rest_axes + [n])
+        by_rest[c].reshape(tensor.shape)[...] = tensor.transpose(rest_axes + q_axes + [n])
+
+    chi = np.repeat(starts[None], cuts, axis=0)
+    value = np.full((cuts, count), -1.0)
+    live = np.ones((cuts, count), dtype=bool)
+    for _ in range(cfg.max_iters):
+        _, phi = _top_left((chi.conj() @ by_rest).reshape(cuts * count, dim_q, -1))
+        phi = phi.reshape(cuts, count, dim_q).conj()
+        new_value, new_chi = _top_left((phi @ by_q).reshape(cuts * count, dim_rest, -1))
+        new_value = new_value.reshape(cuts, count)
+        done = np.abs(new_value - value) < cfg.tol
+        np.copyto(value, new_value, where=live)  # a stopped entry's chi no longer counts
+        chi = new_chi.reshape(chi.shape)
+        live &= ~done
+        if not live.any():
+            break
+    return value
 
 
 def lagrange_extremum(d: int, cfg: OptimizerConfig | None = None) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from frustgraph import (
     builtin_code,
     canonical_form,
     max_product_overlap,
+    max_product_overlaps,
     max_sos,
     max_sum_eigenvalue,
     sos_bound,
     stabilizer_projector,
 )
 from frustgraph import oracle, pauli
+from frustgraph.errors import BadSubset
 from frustgraph.oracle import _action_tables, _code_basis, _element_sum
 from frustgraph.pauli import phase_modulus
 
@@ -135,7 +138,7 @@ def test_code_basis_of_builtin_codes(name, d, n):
 
 
 CFG = OptimizerConfig(restarts=4, seed=11)
-BLOCKS = [1, oracle.RESTART_BLOCK - 1, oracle.RESTART_BLOCK + 1]
+BLOCKS = [1, 15, 17]
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,6 +163,123 @@ def test_stacked_starts_are_successive_unit_draws():
     stacked = np.vstack([oracle._random_units(rng, 3, 9), oracle._random_units(rng, 4, 9)])
     again = OptimizerConfig(seed=5).rng()
     assert np.array_equal(stacked, [oracle._random_unit(again, 9) for _ in range(7)])
+
+
+def unit_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))[0]
+
+
+def gram_case(kind: str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols matrix w whose Gram matrix w w^dagger is of the given kind."""
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.complex128)
+    if kind == "generic":
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    # flat: w w^dagger = c U U^dagger, a multiple of a rank-r projector.  A
+    # 1e-8 change of w splits the top eigenvalue only if r > 1: for r = 1 the
+    # rest of the spectrum moves by 1e-16 and the Gram matrix stays flat.
+    size = min(rows, cols)
+    r = int(rng.integers(min(2, size) if kind == "near" else 1, size + 1))
+    c = rng.uniform(0.1, 10.0)
+    w = np.sqrt(c) * unit_columns(rng, rows, r) @ unit_columns(rng, cols, r).conj().T
+    if kind == "near":
+        w = w + 1e-8 * (rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape))
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.sampled_from(["flat", "generic", "near", "zero"]), min_size=1, max_size=8),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_top_left_reads_flat_grams_and_diagonalises_the_rest(rows, cols, kinds, seed):
+    rng = np.random.default_rng(seed)
+    w = np.stack([gram_case(kind, rows, cols, rng) for kind in kinds])
+    eigh = np.linalg.eigh
+    sent = []
+
+    def counted(a):
+        sent.append(len(a))
+        return eigh(a)
+
+    with mock.patch.object(np.linalg, "eigh", counted):
+        vals, vecs = oracle._top_left(w)
+    # a Gram of size 1 is always flat; a perturbed or generic larger one never is
+    eigh_kinds = ("generic", "near") if min(rows, cols) > 1 else ()
+    assert sum(sent) == sum(kind == "zero" or kind in eigh_kinds for kind in kinds)
+    for m, value, vec in zip(w, vals, vecs):
+        gram = m @ m.conj().T
+        assert abs(value - np.linalg.eigvalsh(gram)[-1]) < TIGHT
+        assert abs(np.linalg.norm(vec) - 1) < TIGHT
+        assert np.linalg.norm(gram @ vec - value * vec) < TIGHT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_overlaps_of_many_cuts_equal_one_cut_at_a_time(d, data):
+    n = data.draw(st.integers(2, 4 if d == 5 else 5))
+    k = data.draw(st.integers(1, n))
+    stab = graph_code(d, n, k, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    sides = st.sets(st.integers(1, n), min_size=1, max_size=n - 1)
+    cuts = [SiteSubset(tuple(side), n) for side in data.draw(st.lists(sides, max_size=8))]
+    cfg = OptimizerConfig(
+        restarts=data.draw(st.sampled_from([1, 3, 17])),
+        max_iters=data.draw(st.sampled_from([1, 2, 500])),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    assert max_product_overlaps(stab, cuts, cfg) == [max_product_overlap(stab, q, cfg) for q in cuts]
+
+
+@pytest.mark.parametrize("entries", [1, 2 ** 12, 2 ** 14])
+def test_overlaps_agree_across_chunks(entries, monkeypatch):
+    # one (cut, restart) pair per chunk; restarts in blocks; a few cuts per chunk
+    stab = graph_code(3, 4, 2, np.random.default_rng(7))
+    cuts = list(bipartitions(4))[::-1]
+    cfg = OptimizerConfig(restarts=5, seed=3)
+    calls = []
+    ascent = oracle._overlap_ascent
+
+    def counted(basis, d, subsets, starts, cfg):
+        calls.append((len(subsets), len(starts)))
+        return ascent(basis, d, subsets, starts, cfg)
+
+    monkeypatch.setattr(oracle, "_overlap_ascent", counted)
+    max_product_overlaps(stab, cuts, cfg)
+    unpatched, calls[:] = len(calls), []
+    monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
+    chunked = max_product_overlaps(stab, cuts, cfg)
+    assert len(calls) > unpatched
+    assert chunked == [max_product_overlap(stab, q, cfg) for q in cuts]
+    for q, value in zip(cuts, chunked):
+        assert abs(value - denseref.overlap_per_restart(stab, q, cfg)) < TIGHT
+
+
+@pytest.mark.parametrize(
+    "stab",
+    [builtin_code("ghz", 2, 10), graph_code(3, 6, 4, np.random.default_rng(2))],
+    ids=["ghz-d2-n10", "graph-d3-n6-k4"],
+)
+def test_overlap_check_stays_within_the_chunk_budget(stab):
+    cuts = list(bipartitions(stab.n_sites))
+    basis = _code_basis(stab)  # built once per stabilizer, before the check
+    tracemalloc.start()
+    try:
+        max_product_overlaps(stab, cuts, OptimizerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= basis.nbytes + oracle._OVERLAP_ENTRIES * 16  # complex128 entries
+
+
+def test_overlaps_of_no_cut_and_refused_cuts():
+    stab = builtin_code("ghz", 2, 3)
+    assert max_product_overlaps(stab, [], CFG) == []
+    with pytest.raises(BadSubset):
+        max_product_overlaps(stab, [SiteSubset((1,), 3), SiteSubset((1, 2, 3), 3)], CFG)
+    with pytest.raises(BadSubset):
+        max_product_overlaps(stab, [SiteSubset((1,), 4)], CFG)
 
 
 def assert_overlap_is_top_schmidt_weight(stab: Stabilizer) -> None:

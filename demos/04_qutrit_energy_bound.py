@@ -21,8 +21,7 @@ for d in (3, 5, 7):
     print(f"d={d}:  bound = {bound:.9f}   top eigenvalue = {top:.9f}")
 
     # the scalar extremum behind the bound
-    cfg = fg.OptimizerConfig(seed=4)
-    extremum = fg.lagrange_extremum(d, cfg)
+    extremum = fg.lagrange_extremum(d)
     print(f"       scalar extremum = {extremum:.9f}  (= (1 + 1/sqrt(d))/2)")
 
     # the saturating single-site state: evaluate the full Weyl sum on it

@@ -42,6 +42,7 @@ from .errors import (
     InvalidMode,
     ParseError,
 )
+from .gf import check_modulus
 from .group import VERTEX_CAP, GroupSpec, commutation_graph
 from .group import clique_number, sos_bound, sum_bound
 from .oracle import (
@@ -67,9 +68,8 @@ REPORT_SCHEMA = "frustgraph-report/1"
 _HEADER_RE = re.compile(r"^d=(\d+)\s+n=(\d+)(?:\s+mode=(group|stabilizer))?$")
 _GENERATOR_RE = re.compile(r"^g(\d+):\s*(\S.*)$")
 _PHASE_RE = re.compile(r"^w\^(\d+)(/2)?$")
-_X_RE = re.compile(r"^X\^(\d+)$")
-_Z_RE = re.compile(r"^Z\^(\d+)$")
-_XZ_RE = re.compile(r"^X\^(\d+)Z\^(\d+)$")
+_SITE_TOKENS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1)}
+_SITE_RE = re.compile(r"(?:X\^(\d+))?(?:Z\^(\d+))?")
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,16 @@ def _parse_exponent(text: str, d: int, line_no: int, col: int) -> int:
 
 
 def _parse_site_token(tok: str, d: int, line_no: int, col: int) -> tuple[int, int]:
-    if tok == "I":
-        return 0, 0
-    if tok == "X":
-        return 1, 0
-    if tok == "Z":
-        return 0, 1
-    m = _XZ_RE.match(tok)
-    if m:
-        return (
-            _parse_exponent(m.group(1), d, line_no, col),
-            _parse_exponent(m.group(2), d, line_no, col),
-        )
-    m = _X_RE.match(tok)
-    if m:
-        return _parse_exponent(m.group(1), d, line_no, col), 0
-    m = _Z_RE.match(tok)
-    if m:
-        return 0, _parse_exponent(m.group(1), d, line_no, col)
-    raise ParseError(line_no, col, f"unrecognised site token {tok!r}")
+    if tok in _SITE_TOKENS:
+        return _SITE_TOKENS[tok]
+    m = _SITE_RE.fullmatch(tok)
+    if not tok or m is None:
+        raise ParseError(line_no, col, f"unrecognised site token {tok!r}")
+    x, z = m.groups()
+    return (
+        0 if x is None else _parse_exponent(x, d, line_no, col),
+        0 if z is None else _parse_exponent(z, d, line_no, col),
+    )
 
 
 def _parse_phase_token(tok: str, d: int, line_no: int, col: int) -> int | None:
@@ -174,7 +165,7 @@ def parse_document(text: str) -> InputDocument:
             d, n = int(m.group(1)), int(m.group(2))
             if n < 1:
                 raise ParseError(line_no, 1, "n must be at least 1")
-            header = (d, n, m.group(3))
+            header = (check_modulus(d), n, m.group(3))
             continue
         d, n, _mode = header
         m = _GENERATOR_RE.match(line)
@@ -376,7 +367,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 _check_entry("swap", verify_swap_identity(d_abstract), SWAP_TOLERANCE, d=d_abstract)
             )
         elif name == "lagrange":
-            got = lagrange_extremum(d_abstract, cfg)
+            got = lagrange_extremum(d_abstract)
             want = (1 + 1 / np.sqrt(d_abstract)) / 2
             entries.append(
                 _check_entry("lagrange", abs(got - want), LAGRANGE_TOLERANCE, d=d_abstract)
@@ -420,7 +411,9 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
 
 
 def run_command(command: str, doc: InputDocument | None, flags: CommandFlags) -> Report:
-    """Dispatch one subcommand over a parsed document."""
+    """Dispatch one subcommand over a parsed document; only verify runs without one."""
+    if doc is None and command != "verify":
+        raise InvalidMode("this command needs an input file or --builtin")
     if command == "analyze":
         return _run_analyze(doc, flags)
     if command == "canonical":
@@ -562,9 +555,6 @@ def main(argv=None) -> int:
             checks=tuple(getattr(args, "checks", None) or ()),
             d=args.d,
         )
-        if args.command != "verify" and doc is None:
-            print("error[invalid-mode]: this command needs an input file or --builtin", file=sys.stderr)
-            return 2
         report = run_command(args.command, doc, flags)
     except FrustGraphError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

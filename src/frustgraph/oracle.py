@@ -12,20 +12,22 @@ from explicit complex vectors and matrices:
 * ``max_sum_eigenvalue``    top eigenvalue of sum (A + A^dagger)
 * ``max_product_overlap``   alternating product-state ascent on the code space
 * ``max_product_overlaps``  the same ascent for many cuts, stacked per cut size
-* ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2 found numerically
+* ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2, an eigenvalue
 * ``theta_state``       the single-site state saturating the energy bound
 
 The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
 basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
 plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
-derives idx and the exact phases of many operators at once from their
-exponent arrays.  ``max_sos`` applies every row of ``GroupSpec.elements``
-that way and refines a single vector into its commuting witness,
-``max_sum_eigenvalue`` and ``stabilizer_projector`` scatter the same
-tables into one dense sum, and ``max_product_overlaps`` runs stacked cuts
-and restarts on an orthonormal basis of the code space, random columns pushed
-through the factors (1/d) sum_s g^s of the code projector, orthonormalised
-once per ``Stabilizer`` and cached on it.
+is the one place that turns exponent arrays into idx and exact phases,
+for many operators at once.  ``max_sos`` applies every row of
+``GroupSpec.elements`` that way; ``dense_pauli``, ``max_sum_eigenvalue``
+and ``stabilizer_projector`` scatter the same tables into one dense sum
+(``_element_sum``).  ``_power_tables`` holds every power g^s of a list of
+operators: ``max_sos`` refines a single vector into its commuting witness
+through them, and ``max_product_overlaps`` runs stacked cuts and restarts
+on an orthonormal basis of the code space, random columns pushed through
+the factors (1/d) sum_s g^s of the code projector, orthonormalised once
+per ``Stabilizer`` and cached on it.
 
 Random restarts use a counter-based Philox generator, so every optimizer
 run is reproducible from its seed.
@@ -33,7 +35,6 @@ run is reproducible from its seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ from .group import GroupSpec, sum_bound
 from .pauli import (
     PauliOperator,
     SiteSubset,
+    exponent_tableau,
     omega_units,
     ordered_products,
     phase_modulus,
@@ -95,25 +97,12 @@ class OptimizerConfig:
         return np.random.Generator(np.random.Philox(self.seed))
 
 
-@functools.lru_cache(maxsize=None)
-def _site_matrix(d: int, a: int, b: int) -> np.ndarray:
-    """Dense d x d matrix of X^a Z^b; cached and marked read-only."""
-    out = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        out[(j + a) % d, j] = np.exp(2j * np.pi * ((b * j) % d) / d)
-    out.setflags(write=False)
-    return out
-
-
 def dense_pauli(op: PauliOperator) -> np.ndarray:
     """Exact tensor-product matrix of a symbolic operator, phase included."""
     dim = op.d ** op.n_sites
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    out = np.ones((1, 1), dtype=np.complex128)
-    for a_j, b_j in zip(op.a, op.b):
-        out = np.kron(out, _site_matrix(op.d, a_j, b_j))
-    return op.phase * out
+    return _element_sum(*exponent_tableau([op]), [op.phase_exp], op.d)
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -136,7 +125,7 @@ def verify_swap_identity(d: int) -> float:
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
-            w = _site_matrix(d, i, j)
+            w = dense_pauli(PauliOperator(d, (i,), (j,)))
             acc += np.kron(w, w.conj().T)
     acc /= d
     swap = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -151,8 +140,8 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Operator i is zeta^units[i] X^A[i] Z^B[i], with (m, n) exponent arrays
     A and B.  Returns (m, d^n) arrays idx and ph with A_i psi ==
-    ph[i] * psi[idx[i]], site 1 the most significant digit as in
-    ``dense_pauli``.  Output state x comes from y = x - a; its phase is
+    ph[i] * psi[idx[i]], site 1 the most significant digit as in a
+    Kronecker product.  Output state x comes from y = x - a; its phase is
     zeta^t with t = units[i] + omega_units(d, b.y) reduced exactly mod
     ``phase_modulus(d)`` and then looked up in one table of zeta powers.
     """
@@ -170,19 +159,27 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, zeta[(units + omega_units(d, dot)) % modulus]
 
 
-def _element_sum(spec: GroupSpec, dim: int) -> np.ndarray:
-    """Dense sum of all elements, scattered from their action tables.
+def _element_sum(A, B, units, d: int) -> np.ndarray:
+    """Dense sum of the operators zeta^units[i] X^A[i] Z^B[i], from their action tables.
 
-    The rows of ``spec.elements`` are taken _TABLE_ENTRIES // dim at a
-    time, so the tables stay small however many elements there are.
+    The rows are taken _TABLE_ENTRIES // d^n at a time, so the tables
+    stay small however many operators there are.
     """
-    A, B, units = spec.elements
+    dim = d ** A.shape[1]
     step = max(1, _TABLE_ENTRIES // dim)
     total = np.zeros((dim, dim), dtype=np.complex128)
     for rows in (slice(i, i + step) for i in range(0, len(units), step)):
-        idx, ph = _action_tables(A[rows], B[rows], units[rows], spec.d)
+        idx, ph = _action_tables(A[rows], B[rows], units[rows], d)
         np.add.at(total, (np.broadcast_to(np.arange(dim), idx.shape), idx), ph)
     return total
+
+
+def _power_tables(ops, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Action tables of every power: [i, s] of the (len(ops), d, d^n) idx and ph is ops[i]^s."""
+    k = len(ops)
+    powers = np.kron(np.eye(k, dtype=np.int64), np.arange(d)[:, None])  # row i*d + s
+    idx, ph = _action_tables(*ordered_products(ops, powers), d)
+    return idx.reshape(k, d, -1), ph.reshape(k, d, -1)
 
 
 def _commuting_witness(spec: GroupSpec) -> np.ndarray:
@@ -201,12 +198,11 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     cf = canonical_form(spec.gamma)
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
     A, B, _ = ordered_products(spec.generators, cf.O.entries[:, cols].T)
+    ops = [PauliOperator(d, tuple(a), tuple(b)).canonical_unit_phase() for a, b in zip(A, B)]
 
     vec = np.zeros(d ** A.shape[1], dtype=np.complex128)
     vec[0] = 1.0
-    for a, b in zip(A, B):
-        op = PauliOperator(d, tuple(a), tuple(b)).canonical_unit_phase()
-        idx, ph = _action_tables(*ordered_products([op], np.arange(d)[:, None]), d)
+    for idx, ph in zip(*_power_tables(ops, d)):
         # row t = sum_s omega^{-ts} op^s vec / d, the eigenvalue omega^t part
         parts = np.fft.fft(ph * vec[idx], axis=0) / d
         norms = np.linalg.norm(parts, axis=1)
@@ -277,7 +273,7 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     dim = spec.d ** spec.generators[0].n_sites
     if dim > ENERGY_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {ENERGY_DIM_CAP}")
-    half = _element_sum(spec, dim)
+    half = _element_sum(*spec.elements, spec.d)
     ham = half + half.conj().T
     top = float(np.linalg.eigvalsh(ham)[-1])
     if top > sum_bound(spec) + BOUND_TOLERANCE:
@@ -295,7 +291,7 @@ def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
     spec = GroupSpec.from_generators(stab.generators)
-    proj = _element_sum(spec, dim) / stab.d ** stab.k
+    proj = _element_sum(*spec.elements, spec.d) / stab.d ** stab.k
     if np.max(np.abs(proj - proj.conj().T)) > HERMITICITY_TOLERANCE:
         raise RuntimeError("stabilizer projector is not Hermitian")
     if np.max(np.abs(proj @ proj - proj)) > HERMITICITY_TOLERANCE:
@@ -313,14 +309,11 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
     """
     stab.validate()
     if stab._code_basis is None:
-        d, k = stab.d, stab.k
+        d = stab.d
         dim, want = d ** stab.n_sites, d ** (stab.n_sites - stab.k)
         if dim > DENSE_DIM_CAP:
             raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-        # row i*d + s is g_i^s
-        powers = np.kron(np.eye(k, dtype=np.int64), np.arange(d)[:, None])
-        idx, ph = _action_tables(*ordered_products(stab.generators, powers), d)
-        factors = list(zip(idx.reshape(k, d, dim), ph.reshape(k, d, dim)))
+        factors = list(zip(*_power_tables(stab.generators, d)))
 
         def project(cols: np.ndarray) -> np.ndarray:
             for gather, phase in factors:
@@ -466,38 +459,21 @@ def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.
     return value
 
 
-def lagrange_extremum(d: int, cfg: OptimizerConfig | None = None) -> float:
-    """Numeric maximum of (1/sqrt(d)) sum_i |a_i| |a_0| over unit vectors.
+def lagrange_extremum(d: int) -> float:
+    """Maximum of (1/sqrt(d)) sum_i |a_i| |a_0| over unit vectors a.
 
-    The objective is a nonnegative quadratic form, so projected power
-    iteration over random restarts converges to its largest eigenvalue,
-    which equals (1 + 1/sqrt(d))/2.
+    The objective is r^T Q r / sqrt(d) in r = |a|, with the quadratic form
+    Q = (e_0 1^T + 1 e_0^T) / 2; the top eigenvector of Q is nonnegative, so
+    the maximum is its top eigenvalue over sqrt(d), (1 + 1/sqrt(d))/2.
     """
     d = check_modulus(d)
     if d == 2:
         raise EvenDimension("the extremum is used for odd d only")
-    cfg = cfg or OptimizerConfig()
     e0 = np.zeros(d)
     e0[0] = 1.0
     ones = np.ones(d)
     quad = (np.outer(e0, ones) + np.outer(ones, e0)) / 2
-    rng = cfg.rng()
-    best = 0.0
-    for _ in range(cfg.restarts):
-        r = np.abs(rng.normal(size=d)) + 1e-3
-        r /= np.linalg.norm(r)
-        value = 0.0
-        for _ in range(cfg.max_iters):
-            nxt = quad @ r
-            nxt /= np.linalg.norm(nxt)
-            new_value = float(nxt @ quad @ nxt)
-            r = nxt
-            if abs(new_value - value) < cfg.tol:
-                value = new_value
-                break
-            value = new_value
-        best = max(best, value / math.sqrt(d))
-    return float(best)
+    return float(np.linalg.eigvalsh(quad)[-1] / math.sqrt(d))
 
 
 def theta_state(d: int) -> np.ndarray:

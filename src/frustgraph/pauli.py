@@ -94,15 +94,6 @@ class PauliOperator:
         return len(self.a)
 
     @property
-    def phase(self) -> complex:
-        """Numeric value of zeta^phase_exp."""
-        if self.d == 2:
-            return 1j ** self.phase_exp
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.phase_exp / self.d)
-
-    @property
     def is_identity(self) -> bool:
         return self.phase_exp == 0 and not any(self.a) and not any(self.b)
 

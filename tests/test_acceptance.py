@@ -165,10 +165,9 @@ def test_c08_entanglement_measures():
 
 def test_c09_lagrange_extremum():
     started = time.perf_counter()
-    cfg = OptimizerConfig(seed=9)
     for d in (3, 5, 7):
         expected = (1 + 1 / np.sqrt(d)) / 2
-        assert abs(lagrange_extremum(d, cfg) - expected) <= 1e-6
+        assert abs(lagrange_extremum(d) - expected) <= 1e-6
     _report(9, "scalar extremum equals (1 + 1/sqrt(d))/2", started, 5.0)
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,8 @@ from frustgraph import gf
 from frustgraph.cli import (
     CommandFlags,
     Report,
+    _parse_exponent,
+    _parse_site_token,
     document_from_stabilizer,
     emit_report,
     main,
@@ -65,6 +68,64 @@ def test_parse_bad_token_has_location():
         parse_document("d=3 n=2\ng1: X Q\n")
     assert err.value.line == 2
     assert err.value.column == 7
+
+
+# the site-token patterns the single fullmatch replaced, kept as its reference
+_OLD_X_RE = re.compile(r"^X\^(\d+)$")
+_OLD_Z_RE = re.compile(r"^Z\^(\d+)$")
+_OLD_XZ_RE = re.compile(r"^X\^(\d+)Z\^(\d+)$")
+
+
+def _old_site_token(tok: str, d: int, line_no: int, col: int) -> tuple[int, int]:
+    if tok == "I":
+        return 0, 0
+    if tok == "X":
+        return 1, 0
+    if tok == "Z":
+        return 0, 1
+    m = _OLD_XZ_RE.match(tok)
+    if m:
+        return (
+            _parse_exponent(m.group(1), d, line_no, col),
+            _parse_exponent(m.group(2), d, line_no, col),
+        )
+    m = _OLD_X_RE.match(tok)
+    if m:
+        return _parse_exponent(m.group(1), d, line_no, col), 0
+    m = _OLD_Z_RE.match(tok)
+    if m:
+        return 0, _parse_exponent(m.group(1), d, line_no, col)
+    raise ParseError(line_no, col, f"unrecognised site token {tok!r}")
+
+
+def _outcome(parse, tok: str, d: int):
+    try:
+        return parse(tok, d, 4, 9)
+    except (ParseError, ExponentOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+_TOKEN_PIECES = ["X^", "Z^", "X", "Z", "Y", "I", "^", "0", "1", "2", "12", "7"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="IXYZ^0123456789", max_size=8),
+        st.lists(st.sampled_from(_TOKEN_PIECES), max_size=5).map("".join).filter(
+            lambda tok: len(tok) <= 8
+        ),
+    ),
+    st.sampled_from([2, 3, 13]),
+)
+@example("X^1Z^2", 3)
+@example("X^3Z^1", 3)
+@example("X^1Z^3", 3)
+@example("Z^1X^1", 3)
+@example("X^3Z^4", 3)
+@example("", 3)
+def test_site_token_parses_as_the_three_patterns(tok, d):
+    assert _outcome(_parse_site_token, tok, d) == _outcome(_old_site_token, tok, d)
 
 
 def test_parse_header_required():
@@ -167,6 +228,21 @@ def test_verify_document_checks_need_a_document():
 
     with pytest.raises(InvalidMode):
         run_command("verify", None, CommandFlags(checks=("sos",)))
+
+
+@pytest.mark.parametrize("command", ["analyze", "canonical", "entanglement"])
+def test_commands_other_than_verify_need_a_document(command):
+    from frustgraph import InvalidMode
+
+    with pytest.raises(InvalidMode, match="this command needs an input file or --builtin"):
+        run_command(command, None, CommandFlags())
+
+
+def test_main_without_a_document_exits_2(capsys):
+    assert main(["analyze"]) == 2
+    assert capsys.readouterr().err == (
+        "error[invalid-mode]: this command needs an input file or --builtin\n"
+    )
 
 
 def test_emit_report_rational_rendering():
@@ -274,6 +350,12 @@ def test_cli_exit_codes(tmp_path):
 
     proc = _run_cli("analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 2
+
+    zero = tmp_path / "zero.txt"
+    zero.write_text("d=0 n=1\ng1: w^1 I\n")
+    proc = _run_cli("analyze", str(zero))
+    assert proc.returncode == 2
+    assert "error[non-prime-modulus]" in proc.stderr
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -26,6 +26,7 @@ from frustgraph import (
     bipartitions,
     builtin_code,
     canonical_form,
+    dense_pauli,
     max_product_overlap,
     max_product_overlaps,
     max_sos,
@@ -35,8 +36,14 @@ from frustgraph import (
 )
 from frustgraph import oracle, pauli
 from frustgraph.errors import BadSubset
-from frustgraph.oracle import _action_tables, _code_basis, _element_sum
-from frustgraph.pauli import phase_modulus
+from frustgraph.oracle import (
+    FAITHFULNESS_TOLERANCE,
+    _action_tables,
+    _code_basis,
+    _element_sum,
+    _power_tables,
+)
+from frustgraph.pauli import ordered_products, phase_modulus
 
 TIGHT = 1e-12
 AGREE = 1e-9
@@ -91,16 +98,36 @@ def test_action_tables_cover_every_phase(d):
 @given(ops=operator_lists())
 def test_element_sum_scatters_the_dense_sum(entries, ops):
     spec = GroupSpec.from_generators([op.canonical_unit_phase() for op in ops[:3]])
-    dim = spec.d ** ops[0].n_sites
     want = sum(denseref.dense(op) for op in denseref.group_elements(spec))
     saved = oracle._TABLE_ENTRIES
     try:
         if entries is not None:  # one element per block
             oracle._TABLE_ENTRIES = entries
-        got = _element_sum(spec, dim)
+        got = _element_sum(*spec.elements, spec.d)
     finally:
         oracle._TABLE_ENTRIES = saved
     assert np.max(np.abs(got - want)) < TIGHT
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+def test_dense_pauli_scatters_the_reference_matrix(d, n, data):
+    op = data.draw(operators(d, n))
+    for p in range(phase_modulus(d)):
+        op = PauliOperator(d, op.a, op.b, p)
+        assert np.max(np.abs(dense_pauli(op) - denseref.dense(op))) < FAITHFULNESS_TOLERANCE
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_lists())
+def test_power_tables_stack_the_per_operator_tables(ops):
+    d = ops[0].d
+    idx, ph = _power_tables(ops, d)
+    assert idx.shape == ph.shape == (len(ops), d, d ** ops[0].n_sites)
+    for i, op in enumerate(ops):
+        want_idx, want_ph = _action_tables(*ordered_products([op], np.arange(d)[:, None]), d)
+        assert np.array_equal(idx[i], want_idx)
+        assert np.array_equal(ph[i], want_ph)
 
 
 def graph_code(d: int, n: int, k: int, rng: np.random.Generator) -> Stabilizer:

@@ -28,6 +28,7 @@ from frustgraph import (
     theta_state,
     verify_swap_identity,
 )
+from frustgraph.gf import is_prime
 from frustgraph.oracle import (
     BOUND_TOLERANCE,
     FAITHFULNESS_TOLERANCE,
@@ -223,12 +224,17 @@ def test_product_overlap_below_top_eigenvalue():
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_lagrange_extremum(d):
     expected = (1 + 1 / np.sqrt(d)) / 2
-    assert lagrange_extremum(d, CFG) == pytest.approx(expected, abs=1e-6)
+    assert lagrange_extremum(d) == pytest.approx(expected, abs=1e-6)
+
+
+def test_lagrange_extremum_is_the_closed_form_for_every_prime_to_97():
+    for d in filter(is_prime, range(3, 98)):
+        assert abs(lagrange_extremum(d) - (1 + 1 / np.sqrt(d)) / 2) < 1e-12
 
 
 def test_lagrange_even_dimension():
     with pytest.raises(EvenDimension):
-        lagrange_extremum(2, CFG)
+        lagrange_extremum(2)
 
 
 def test_theta_state_coefficients():

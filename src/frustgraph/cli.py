@@ -30,6 +30,7 @@ import sys
 import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -65,11 +66,11 @@ from .symplectic import canonical_form
 
 REPORT_SCHEMA = "frustgraph-report/1"
 
-_HEADER_RE = re.compile(r"^d=(\d+)\s+n=(\d+)(?:\s+mode=(group|stabilizer))?$")
-_GENERATOR_RE = re.compile(r"^g(\d+):\s*(\S.*)$")
-_PHASE_RE = re.compile(r"^w\^(\d+)(/2)?$")
+_HEADER_RE = re.compile(r"^d=(\d+)\s+n=(\d+)(?:\s+mode=(group|stabilizer))?$", re.ASCII)
+_GENERATOR_RE = re.compile(r"^g(\d+):\s*(\S.*)$", re.ASCII)
+_PHASE_RE = re.compile(r"^w\^(\d+)(/2)?$", re.ASCII)
 _SITE_TOKENS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1)}
-_SITE_RE = re.compile(r"(?:X\^(\d+))?(?:Z\^(\d+))?")
+_SITE_RE = re.compile(r"(?:X\^(\d+))?(?:Z\^(\d+))?", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -459,13 +460,34 @@ def _text_lines(report: Report) -> list[str]:
     return lines
 
 
+def _json_column(column: list, pad: str):
+    """Render each value of one key column of a same-key dict list at indent ``pad``."""
+    types = set(map(type, column))
+    if types == {int}:
+        return map(int.__repr__, column)
+    if types == {list} and all(column) and set(map(type, chain.from_iterable(column))) == {int}:
+        head, sep, tail = "[\n" + pad + "  ", ",\n" + pad + "  ", "\n" + pad + "]"
+        return [head + sep.join(map(int.__repr__, v)) + tail for v in column]
+    rendered: dict[int, str] = {}  # one rendering per distinct object
+    for v in column:
+        if id(v) not in rendered:
+            chunks: list[str] = []
+            _json_chunks(v, pad, chunks)
+            rendered[id(v)] = "".join(chunks)
+    return [rendered[id(v)] for v in column]
+
+
 def _json_chunks(value, pad: str, out: list[str]) -> None:
     """Append ``json.dumps(value, indent=2)``, nested at indent ``pad``, to ``out``.
 
     Keys must be strings.  With an indent ``json.dumps`` falls back to its
     pure-Python encoder, one chunk per token; here a list of plain ints,
     such as a matrix row or a cut's sites, is one chunk, and the caller
-    joins the chunks once, so no nested level is copied.
+    joins the chunks once, so no nested level is copied.  A list of plain
+    dicts that all share one key sequence, such as the cuts of a scan, is
+    rendered one key column at a time (``_json_column``: ints and lists of
+    plain ints by ``int.__repr__``, any other value once per distinct
+    object) and the rows are joined from those columns.
     """
     if type(value) is int:
         out.append(int.__repr__(value))
@@ -481,8 +503,19 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
         out.append("\n" + pad + "}")
     elif isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
-        if set(map(type, value)) == {int}:
+        types = set(map(type, value))
+        keys = tuple(value[0]) if types == {dict} else ()
+        if types == {int}:
             out += ("[\n", inner, (",\n" + inner).join(map(int.__repr__, value)))
+        elif keys and all(map(keys.__eq__, map(tuple, value))):
+            field, columns = inner + "  ", []
+            sep = "{\n" + field
+            for key in keys:
+                column = _json_column([row[key] for row in value], field)
+                columns += (repeat(sep + encode_basestring_ascii(key) + ": "), column)
+                sep = ",\n" + field
+            columns.append(repeat("\n" + inner + "}"))
+            out += ("[\n", inner, (",\n" + inner).join(map("".join, zip(*columns))))
         else:
             sep = "[\n" + inner
             for item in value:

@@ -21,7 +21,7 @@ from frustgraph import (
     ParseError,
     PauliOperator,
 )
-from frustgraph import gf
+from frustgraph import cli, gf
 from frustgraph.cli import (
     CommandFlags,
     Report,
@@ -71,9 +71,9 @@ def test_parse_bad_token_has_location():
 
 
 # the site-token patterns the single fullmatch replaced, kept as its reference
-_OLD_X_RE = re.compile(r"^X\^(\d+)$")
-_OLD_Z_RE = re.compile(r"^Z\^(\d+)$")
-_OLD_XZ_RE = re.compile(r"^X\^(\d+)Z\^(\d+)$")
+_OLD_X_RE = re.compile(r"^X\^(\d+)$", re.ASCII)
+_OLD_Z_RE = re.compile(r"^Z\^(\d+)$", re.ASCII)
+_OLD_XZ_RE = re.compile(r"^X\^(\d+)Z\^(\d+)$", re.ASCII)
 
 
 def _old_site_token(tok: str, d: int, line_no: int, col: int) -> tuple[int, int]:
@@ -111,7 +111,7 @@ _TOKEN_PIECES = ["X^", "Z^", "X", "Z", "Y", "I", "^", "0", "1", "2", "12", "7"]
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        st.text(alphabet="IXYZ^0123456789", max_size=8),
+        st.text(alphabet="IXYZ^0123456789\u0661", max_size=8),
         st.lists(st.sampled_from(_TOKEN_PIECES), max_size=5).map("".join).filter(
             lambda tok: len(tok) <= 8
         ),
@@ -124,8 +124,27 @@ _TOKEN_PIECES = ["X^", "Z^", "X", "Z", "Y", "I", "^", "0", "1", "2", "12", "7"]
 @example("Z^1X^1", 3)
 @example("X^3Z^4", 3)
 @example("", 3)
+@example("X^\u0661", 3)
 def test_site_token_parses_as_the_three_patterns(tok, d):
     assert _outcome(_parse_site_token, tok, d) == _outcome(_old_site_token, tok, d)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d=\u0663 n=1\ng1: X\n",
+        "d=3 n=1\ng\u0661: X\n",
+        "d=3 n=2\ng1: w^\u0661 X\n",
+        "d=3 n=1\ng1: X^\u0661Z^\u0662\n",
+    ],
+    ids=["header", "generator-label", "phase", "site-token"],
+)
+def test_non_ascii_digits_are_parse_errors(text, tmp_path, capsys):
+    # the grammar's <int> is ASCII decimal; Arabic-Indic digits are not read as numbers
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "error[parse-error]" in capsys.readouterr().err
 
 
 def test_parse_header_required():
@@ -273,14 +292,54 @@ json_leaves = st.one_of(
     st.text(),
     st.lists(st.integers(), min_size=1, max_size=5),  # the plain-int fast path
 )
+# values of one key column in a list of same-key dicts: the int and int-list
+# columns of the columnar rule, and near misses (bools, empty lists, a bool or
+# float inside an int list)
+_COLUMN_VALUES = [
+    st.integers(),
+    st.one_of(st.integers(), st.booleans()),
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(st.integers(), max_size=4),
+    st.lists(st.one_of(st.integers(), st.booleans(), st.floats()), min_size=1, max_size=4),
+]
+
+
+@st.composite
+def same_key_lists(draw, inner):
+    """1-6 dicts sharing one key sequence, or a near miss of one."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    columns = []
+    for _ in keys:
+        kind = draw(st.integers(min_value=0, max_value=len(_COLUMN_VALUES) + 1))
+        if kind < len(_COLUMN_VALUES):
+            columns.append([draw(_COLUMN_VALUES[kind]) for _ in range(n_rows)])
+        elif kind == len(_COLUMN_VALUES):  # distinct nested values, one per row
+            columns.append(draw(st.lists(inner, min_size=n_rows, max_size=n_rows, unique_by=repr)))
+        else:  # nested values shared by identity across rows
+            pool = draw(st.lists(inner, min_size=1, max_size=2))
+            columns.append([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n_rows)])
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    i = draw(st.integers(0, n_rows - 1))
+    near_miss = draw(st.sampled_from(["none", "reordered", "extra key"]))
+    if near_miss == "reordered":
+        rows[i] = dict(reversed(list(rows[i].items())))
+    elif near_miss == "extra key":  # longer than any drawn key
+        rows[i]["extra"] = draw(inner)
+    return rows
+
+
 json_trees = st.recursive(
     json_leaves,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(st.text(), inner, max_size=4),
+        same_key_lists(inner),
     ),
     max_leaves=25,
 )
+
+_SHARED_GM = {"num": 2, "den": 3, "real": "0.666666666667"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,6 +347,9 @@ json_trees = st.recursive(
 @example({})
 @example({"": [], "\"quote\\back\x00\x1f\u00e9\u2603\U0001f600": {"a": {}}})
 @example([[1, True], [0, None], [-0.0, float("nan")], [2 ** 64, -(2 ** 64)]])
+@example([{"a": True, "b": 1}, {"a": False, "b": 2}, {"a": True, "b": 3}])
+@example([{"Q": [1], "gm": _SHARED_GM}, {"Q": [1, 2], "gm": _SHARED_GM}])
+@example([{"s": "a", "m": {"x": 1}}, {"s": "b", "m": {"x": 2}}])
 def test_emit_report_json_is_indent_two_dumps(tree):
     report = Report(command="analyze", input_digest="x", result={"tree": tree})
     assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
@@ -438,6 +500,25 @@ def test_entanglement_scans_the_cuts_once(monkeypatch):
     report = run_command("entanglement", doc, CommandFlags())
     assert len(scans) == 1
     assert report.result["is_gme"] is True
+
+
+def test_entanglement_json_renders_a_shared_value_once(monkeypatch):
+    # 2047 cuts share one gm dict: the writer renders it once, not once per
+    # cut, so the call count does not grow with the number of cuts
+    calls = []
+    original = cli._json_chunks
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_json_chunks", counted)
+    report = run_command(
+        "entanglement", document_from_stabilizer(builtin_code("ghz", 3, 12)), CommandFlags()
+    )
+    assert len(report.result["bipartitions"]) == 2047
+    assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
+    assert len(calls) < 100
 
 
 def test_cli_reports_are_deterministic(tmp_path):

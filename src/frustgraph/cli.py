@@ -134,10 +134,10 @@ def _parse_site_token(tok: str, d: int, line_no: int, col: int) -> tuple[int, in
     )
 
 
-def _parse_phase_token(tok: str, d: int, line_no: int, col: int) -> int | None:
+def _parse_phase_token(tok: str, d: int, line_no: int, col: int) -> int:
     m = _PHASE_RE.match(tok)
     if not m:
-        return None
+        raise ParseError(line_no, col, f"unrecognised phase token {tok!r}")
     j = int(m.group(1))
     if m.group(2):
         if d != 2:
@@ -153,6 +153,7 @@ def parse_document(text: str) -> InputDocument:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     header: tuple[int, int, str | None] | None = None
     generators: list[PauliOperator] = []
+    known: dict[str, tuple[int, int]] = {}  # site token -> (a, b), parsed once
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -173,25 +174,27 @@ def parse_document(text: str) -> InputDocument:
         if not m:
             raise ParseError(line_no, 1, "expected generator line 'g<idx>: ...'")
         body = m.group(2)
-        tokens = [(t.start() + m.start(2) + 1, t.group()) for t in re.finditer(r"\S+", body)]
+        tokens = body.split()
         phase = 0
-        if tokens:
-            parsed = _parse_phase_token(tokens[0][1], d, line_no, tokens[0][0])
-            if parsed is not None:
-                phase = parsed
-                tokens = tokens[1:]
+        if tokens[0].startswith("w^"):
+            col = m.start(2) + len(body) - len(body.lstrip()) + 1
+            phase = _parse_phase_token(tokens[0], d, line_no, col)
+            del tokens[0]
         if len(tokens) != n:
             raise DimensionMismatch(
                 f"line {line_no}: generator has {len(tokens)} site tokens, "
                 f"expected {n}"
             )
-        a: list[int] = []
-        b: list[int] = []
-        for col, tok in tokens:
-            xa, zb = _parse_site_token(tok, d, line_no, col)
-            a.append(xa)
-            b.append(zb)
-        generators.append(PauliOperator(d, tuple(a), tuple(b), phase))
+        try:
+            pairs = [known[tok] for tok in tokens]
+        except KeyError:  # columns only for the error messages of new tokens
+            cols = [t.start() + m.start(2) + 1 for t in re.finditer(r"\S+", body)]
+            for tok, col in zip(tokens, cols[-n:]):
+                if tok not in known:
+                    known[tok] = _parse_site_token(tok, d, line_no, col)
+            pairs = [known[tok] for tok in tokens]
+        a, b = zip(*pairs)
+        generators.append(PauliOperator(d, a, b, phase))
     if header is None:
         raise ParseError(1, 1, "empty document; a header line is required")
     if not generators:

@@ -133,7 +133,7 @@ class GFMatrix:
         return GFMatrix(self.entries.T, self.d)
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.entries]
+        return self.entries.tolist()
 
     def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
         if not isinstance(other, GFMatrix):

@@ -222,36 +222,55 @@ def clique_number_bruteforce(graph: CommutationGraph) -> int:
     Each node colors its candidates greedily into independent classes
     (MCQ, Tomita & Seki 2003): a clique takes at most one vertex per class,
     so a vertex of color c adds at most c.  Vertices are expanded in
-    reverse color order until size + color <= best.
+    reverse color order until size + color <= best.  Candidate sets and
+    color classes are bitboards (BBMC, San Segundo et al. 2011); the
+    classes a node cannot use are removed without being listed.
     """
     n = graph.n_vertices
     if n > VERTEX_CAP:
         raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
     adj = graph.adjacency
+    others = _non_neighbours(adj)
     best = 0
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
-        if not cand:
-            best = max(best, size)
-            return
-        for v, color in reversed(_color_classes(cand, adj, best - size)):
+        for v, color in reversed(_color_classes(cand, others, best - size)):
             if size + color <= best:
                 return
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+            child = cand & adj[v]
+            if child:
+                expand(size + 1, child)
+            elif size >= best:  # no candidates left: the clique ends at v
+                best = size + 1
+            cand ^= 1 << v
 
     expand(0, (1 << n) - 1)
     return best
 
 
-def _color_classes(cand: int, adj, skip: int = 0) -> list[tuple[int, int]]:
+def _non_neighbours(adj) -> list[int]:
+    """Per vertex, the mask of every vertex but itself and its neighbours."""
+    return [~(mask | 1 << v) for v, mask in enumerate(adj)]
+
+
+def _color_classes(cand: int, others, skip: int = 0) -> list[tuple[int, int]]:
     """Greedy coloring of ``cand`` as (vertex, color) pairs, colors from 1.
 
-    Each class repeatedly takes the lowest remaining vertex and drops its
-    neighbours; only the vertices whose color exceeds ``skip`` are listed.
+    Each class repeatedly takes the lowest remaining vertex and keeps only
+    its non-neighbours ``others[v]``.  The first ``skip`` classes are
+    removed without being listed, and nothing is listed when they use up
+    ``cand``.
     """
-    order, color = [], 0
+    for _ in range(skip):
+        q = cand
+        while q:
+            low = q & -q
+            cand ^= low
+            q &= others[low.bit_length() - 1]
+        if not cand:
+            return []
+    order, color = [], max(skip, 0)
     while cand:
         color += 1
         q = cand
@@ -259,9 +278,8 @@ def _color_classes(cand: int, adj, skip: int = 0) -> list[tuple[int, int]]:
             low = q & -q
             v = low.bit_length() - 1
             cand ^= low
-            q = (q & ~adj[v]) ^ low
-            if color > skip:
-                order.append((v, color))
+            q &= others[v]
+            order.append((v, color))
     return order
 
 
@@ -278,7 +296,7 @@ def chromatic_number_exact(graph: CommutationGraph) -> int:
         return 0
     adj = graph.adjacency
     lower = clique_number_bruteforce(graph)
-    upper = _color_classes((1 << n) - 1, adj)[-1][1]
+    upper = _color_classes((1 << n) - 1, _non_neighbours(adj))[-1][1]
 
     def colorable(n_colors: int) -> bool:
         classes = [0] * n_colors  # bitmask of the vertices of each color

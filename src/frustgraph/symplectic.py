@@ -53,7 +53,14 @@ def pair_block_matrix(k: int, m: int, d: int) -> GFMatrix:
 
 
 def canonical_form(gamma: GFMatrix) -> CanonicalForm:
-    """Symplectic normal form of an antisymmetric matrix over Z_d."""
+    """Symplectic normal form of an antisymmetric matrix over Z_d.
+
+    O is certified by O^T g O == P, the pair blocks then zeros, and by the
+    full column rank of its residual block O[:, 2m:] alone.  Over a prime
+    field the two imply that O is invertible: if O c = 0, then
+    P c = O^T g O c = 0, and P c lists (-c[2i+1], c[2i]) for pair i, so
+    the pair part of c is 0 and O[:, 2m:] c_res = O c = 0 forces c_res = 0.
+    """
     check_antisymmetric(gamma)
     d = gamma.d
     k = gamma.rows
@@ -93,7 +100,7 @@ def canonical_form(gamma: GFMatrix) -> CanonicalForm:
     O = GFMatrix(O, d)
 
     expected = pair_block_matrix(k, m, d)
-    if (O.T @ gamma @ O) != expected or rank(O) != k:
+    if (O.T @ gamma @ O) != expected or rank(GFMatrix(O.entries[:, 2 * m:], d)) != r:
         raise RuntimeError("symplectic reduction failed to reach normal form")
     return CanonicalForm(O=O, m=m, residual_dim=k - 2 * m)
 

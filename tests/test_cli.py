@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from frustgraph import (
     DimensionMismatch,
     ExponentOutOfRange,
+    FrustGraphError,
     ParseError,
     PauliOperator,
 )
@@ -127,6 +128,125 @@ _TOKEN_PIECES = ["X^", "Z^", "X", "Z", "Y", "I", "^", "0", "1", "2", "12", "7"]
 @example("X^\u0661", 3)
 def test_site_token_parses_as_the_three_patterns(tok, d):
     assert _outcome(_parse_site_token, tok, d) == _outcome(_old_site_token, tok, d)
+
+
+def _per_token_parse(text: str):
+    """The per-token parse that the memoised one replaced, kept as its reference.
+
+    Every token's column comes from ``re.finditer`` and every site token is
+    parsed where it stands.  Returns (d, n, mode, generators).
+    """
+    header = None
+    generators = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if header is None:
+            m = cli._HEADER_RE.match(line.strip())
+            if not m:
+                raise ParseError(line_no, 1, "expected header 'd=<int> n=<int> [mode=...]'")
+            d, n = int(m.group(1)), int(m.group(2))
+            if n < 1:
+                raise ParseError(line_no, 1, "n must be at least 1")
+            header = (gf.check_modulus(d), n, m.group(3))
+            continue
+        d, n, _mode = header
+        m = cli._GENERATOR_RE.match(line)
+        if not m:
+            raise ParseError(line_no, 1, "expected generator line 'g<idx>: ...'")
+        tokens = [(t.start() + m.start(2) + 1, t.group()) for t in re.finditer(r"\S+", m.group(2))]
+        phase = 0
+        if tokens[0][1].startswith("w^"):
+            phase = cli._parse_phase_token(tokens[0][1], d, line_no, tokens[0][0])
+            tokens = tokens[1:]
+        if len(tokens) != n:
+            raise DimensionMismatch(
+                f"line {line_no}: generator has {len(tokens)} site tokens, expected {n}"
+            )
+        pairs = [_old_site_token(tok, d, line_no, col) for col, tok in tokens]
+        a = tuple(x for x, _ in pairs)
+        b = tuple(z for _, z in pairs)
+        generators.append(PauliOperator(d, a, b, phase))
+    if header is None:
+        raise ParseError(1, 1, "empty document; a header line is required")
+    if not generators:
+        raise ParseError(1, 1, "document defines no generators")
+    return (*header[:2], header[2], tuple(generators))
+
+
+def _document_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except FrustGraphError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _memoised_parse(text: str):
+    doc = parse_document(text)
+    return doc.d, doc.n_sites, doc.mode, doc.generators
+
+
+_VALID_TOKENS = ["I", "X", "Z", "X^2", "Z^1", "X^1Z^2", "X^0Z^0", "X^1Z^1"]  # at d = 2 only some
+_BAD_TOKENS = ["X^3", "Z^7", "Q", "XZ", "Z^1X^1", "X^\u0661", "x", "w^1", "w^x"]
+_PHASES = ["w^1", "w^2", "w^1/2"] * 3 + ["w^x", "w^", "w^\u0661", "w", "w^1/x"]
+_SEPARATORS = [" ", "  ", "\t", "\u00a0", " \u2003"]
+
+
+@st.composite
+def _generator_documents(draw):
+    """Documents of mostly well-formed lines with repeated and malformed tokens."""
+    header = draw(st.sampled_from(["d=3 n=2", "d=3 n=1", "d=3 n=3 mode=group", "d=2 n=2"] * 3 + ["d=4 n=1"]))
+    n = int(header.split()[1][2:])
+    token = st.sampled_from(_VALID_TOKENS * 8 + _BAD_TOKENS)
+    lines = [header]
+    for i in range(draw(st.integers(0, 5))):
+        count = draw(st.sampled_from([n] * 8 + [n + 1, max(n - 1, 1)]))
+        tokens = draw(st.lists(st.sampled_from(_PHASES), max_size=1))
+        tokens += draw(st.lists(token, min_size=count, max_size=count))
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+        body = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        comment = draw(st.sampled_from(["", "  # note", "#"]))
+        lines.append(f"g{i + 1}:{body}{comment}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_generator_documents())
+@example("d=3 n=2\ng1: X Z^1\ng2: Z^1 X\ng3: Z^1 X^3\n")
+@example("d=3 n=1\ng1: w^x X\n")
+@example("d=3 n=2\ng1:\u00a0w^x X\n")
+@example("d=3 n=2\ng1: X^1Z^2 X^1Z^2\ng2: w^1 X^1Z^2 Q\n")
+def test_memoised_parse_matches_per_token_parse(text):
+    assert _document_outcome(_memoised_parse, text) == _document_outcome(_per_token_parse, text)
+
+
+def test_site_tokens_parse_once_per_document(monkeypatch):
+    calls = []
+
+    def counting(tok, *args):
+        calls.append(tok)
+        return _parse_site_token(tok, *args)
+
+    monkeypatch.setattr(cli, "_parse_site_token", counting)
+    text = "d=3 n=3\ng1: X X^2 X\ng2: w^1 X^2 Z I\ng3: Z I X^1Z^2\ng4: X^2 X^2 X^2\n"
+    parse_document(text)
+    assert sorted(calls) == sorted({"X", "X^2", "Z", "I", "X^1Z^2"})
+    calls.clear()
+    parse_document(text)  # the memo lives for one document only
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tok", ["w^x", "w^", "w^\u0661", "w^1/x"])
+def test_malformed_phase_token_is_a_parse_error_at_its_column(tok, n):
+    text = f"d=3 n={n}\ng1:  {tok} X\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (2, 6)
+    assert f"unrecognised phase token {tok!r}" in str(err.value)
 
 
 @pytest.mark.parametrize(

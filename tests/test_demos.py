@@ -22,3 +22,20 @@ def test_demo_runs(script, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "src"))
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+DEMO_02_OUTPUT = """\
+vertices: 16
+edges:   60
+clique number:    4 (closed form: 4 )
+chromatic number: 5
+perfect graph?    False
+max sum of squares: 4.0   bound: 4
+"""
+
+
+def test_nonperfect_graph_demo_output(monkeypatch, capsys):
+    # the clique and the exact coloring searches print fixed numbers
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    runpy.run_path(str(ROOT / "demos" / "02_nonperfect_commutation_graph.py"), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_02_OUTPUT

@@ -80,6 +80,16 @@ def test_scalar_reduction_and_primality():
         GFMatrix([[0]], 1)
 
 
+@pytest.mark.parametrize("d", [7, 2 ** 61 - 1])  # int64 entries, then Python ints
+def test_to_lists_gives_python_ints(d):
+    m = GFMatrix([[-1, 12, d + 3], [0, d - 1, 2 ** 40]], d)
+    out = m.to_lists()
+    assert out == [[int(v) for v in row] for row in m.entries]
+    assert all(type(v) is int for row in out for v in row)
+    assert GFMatrix.zeros(3, 0, d).to_lists() == [[], [], []]
+    assert GFMatrix.zeros(0, 3, d).to_lists() == []
+
+
 def test_rank_of_five_qudit_cut_matrices():
     assert rank(GFMatrix(FIVE_QUDIT_CUT_1, 2)) == 2
     assert rank(GFMatrix(FIVE_QUDIT_CUT_12, 2)) == 4

@@ -238,6 +238,56 @@ def test_bruteforce_clique_matches_pivoting_search_on_random_graphs():
             assert clique_number_bruteforce(graph) == clique_number_pivoting(graph.adjacency)
 
 
+def with_universal_vertices(graph, positions) -> CommutationGraph:
+    """``graph`` with a vertex adjacent to every other inserted at each position."""
+    m = graph.n_vertices
+    old = [v for v in range(m + len(positions)) if v not in positions]
+    rows = np.zeros((m + len(positions),) * 2, dtype=bool)
+    rows[np.ix_(old, old)] = [[graph.has_edge(i, j) for j in range(m)] for i in range(m)]
+    rows[positions, :] = True
+    rows[:, positions] = True
+    np.fill_diagonal(rows, False)
+    return mask_graph(rows)
+
+
+def test_bruteforce_clique_matches_pivoting_search_with_universal_vertices():
+    # a universal vertex joins every maximum clique, so each one adds exactly 1
+    rng = np.random.default_rng(59)
+    for n in range(0, 41, 4):
+        for p in (0.2, 0.5, 0.8):
+            graph = random_graph(rng, n, p)
+            base = clique_number_pivoting(graph.adjacency)
+            for u in (1, 3):
+                positions = sorted(rng.choice(n + u, size=u, replace=False).tolist())
+                bigger = with_universal_vertices(graph, positions)
+                assert clique_number_bruteforce(bigger) == base + u
+                assert clique_number_pivoting(bigger.adjacency) == base + u
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 64, 256])
+def test_bruteforce_clique_on_edgeless_and_complete_graphs(n):
+    labels = tuple((i,) for i in range(n))
+    full = (1 << n) - 1
+    edgeless = CommutationGraph(labels, (0,) * n)
+    complete = CommutationGraph(labels, tuple(full ^ (1 << i) for i in range(n)))
+    assert clique_number_bruteforce(edgeless) == clique_number_pivoting(edgeless.adjacency) == min(n, 1)
+    assert clique_number_bruteforce(complete) == clique_number_pivoting(complete.adjacency) == n
+
+
+def test_bruteforce_clique_on_the_benchmark_specs():
+    # the two brute-force jobs of perfbench group_bounds, from their document text
+    from test_cli import _load_workloads
+    from frustgraph.cli import parse_document
+
+    jobs = [job for job in _load_workloads().make_jobs("group_bounds", 1) if job.brute_force]
+    assert [(job.d, job.k) for job in jobs] == [(2, 8), (3, 5)]
+    for job in jobs:
+        spec = GroupSpec.from_generators(parse_document(job.text).generators)
+        graph = commutation_graph(spec)
+        expected = clique_number(spec)
+        assert clique_number_bruteforce(graph) == clique_number_pivoting(graph.adjacency) == expected
+
+
 def test_bruteforce_clique_matches_subset_enumeration():
     rng = np.random.default_rng(47)
     for n in range(0, 13):

@@ -12,6 +12,7 @@ from frustgraph import (
     canonical_form,
     rank,
 )
+from frustgraph import symplectic
 from frustgraph.symplectic import pair_block_matrix
 
 
@@ -57,6 +58,56 @@ def test_canonical_form_idempotent():
     form = canonical_form(already)
     assert form.m == 2
     assert_normal_form(already, form)
+
+
+def _recorded_rank_shapes(monkeypatch):
+    shapes = []
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return rank(matrix)
+
+    monkeypatch.setattr(symplectic, "rank", recording)
+    return shapes
+
+
+def test_canonical_form_certifies_only_the_residual_block(monkeypatch):
+    shapes = _recorded_rank_shapes(monkeypatch)
+    rng = np.random.default_rng(61)
+    for d, k in ((2, 12), (3, 8), (7, 6)):
+        while True:  # full rank: every column is in a pair, no k x k rank
+            gamma = random_antisymmetric(rng, d, k)
+            if rank(gamma) == k:
+                break
+        shapes.clear()
+        form = canonical_form(gamma)
+        assert (form.m, form.residual_dim) == (k // 2, 0)
+        assert shapes == [(k, 0)]
+    gamma = GFMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 5)
+    shapes.clear()
+    assert canonical_form(gamma).residual_dim == 2
+    assert shapes == [(4, 2)]
+
+
+def test_canonical_form_rejects_a_dependent_residual_column(monkeypatch):
+    # the residual columns lie in the kernel of gamma, so a repeated one still
+    # passes O^T g O == P; only the residual rank check catches it
+    gamma = GFMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 5)
+    real = symplectic.GFMatrix
+    patched = []
+
+    def dependent_last_column(entries, d):
+        entries = np.array(entries)
+        if not patched and entries.shape == (4, 4):
+            entries[:, 3] = 2 * entries[:, 2]
+            patched.append(entries)
+        return real(entries, d)
+
+    monkeypatch.setattr(symplectic, "GFMatrix", dependent_last_column)
+    with pytest.raises(RuntimeError, match="normal form"):
+        canonical_form(gamma)
+    O = real(patched[0], 5)
+    assert O.T @ gamma @ O == pair_block_matrix(4, 1, 5)
 
 
 def test_canonical_rejects_bad_input():

@@ -22,15 +22,24 @@ is the one place that turns exponent arrays into idx and exact phases,
 for many operators at once.  ``max_sos`` applies every row of
 ``GroupSpec.elements`` that way; ``dense_pauli``, ``max_sum_eigenvalue``
 and ``stabilizer_projector`` scatter the same tables into one dense sum
-(``_element_sum``).  ``_power_tables`` holds every power g^s of a list of
-operators: ``max_sos`` refines a single vector into its commuting witness
-through them, and ``max_product_overlaps`` runs stacked cuts and restarts
-on an orthonormal basis of the code space, random columns pushed through
-the factors (1/d) sum_s g^s of the code projector, orthonormalised once
-per ``Stabilizer`` and cached on it.
+(``_element_sum``); ``max_sum_eigenvalue`` keeps only the diagonal
+blocks, one per coset of the span of the X parts, and diagonalises the
+stack.  ``_power_tables`` holds every power g^s of a list of operators:
+``max_sos`` refines a single vector into its commuting witness through
+them, ``max_sum_eigenvalue`` labels the cosets with them, and
+``max_product_overlaps`` runs stacked cuts and restarts on an orthonormal
+basis of the code space, random columns pushed through the factors
+(1/d) sum_s g^s of the code projector, orthonormalised once per
+``Stabilizer`` and cached on it.  Its random starts are drawn on the
+larger side of each cut.
 
-Random restarts use a counter-based Philox generator, so every optimizer
-run is reproducible from its seed.
+The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
+is at most the number of elements, and P <= I, so no product overlap
+exceeds 1.  A restart within ``tol`` of its cap stops, and the restarts
+after it (for an overlap, the later restart blocks of that cut) are
+skipped.  No closed form enters the stop, so a wrong one still shows up
+as a mismatch.  Random restarts use a counter-based Philox
+generator, so every optimizer run is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -144,34 +153,52 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
     Kronecker product.  Output state x comes from y = x - a; its phase is
     zeta^t with t = units[i] + omega_units(d, b.y) reduced exactly mod
     ``phase_modulus(d)`` and then looked up in one table of zeta powers.
+    The (m, d^n) work arrays are updated in place, so building the tables
+    peaks at 32 bytes per entry.
     """
     m, n = A.shape
     states = np.arange(d ** n)
     idx = np.zeros((m, d ** n), dtype=np.int64)
     dot = np.zeros_like(idx)
     for j in range(n):
-        y = (states // d ** (n - 1 - j) - A[:, j : j + 1]) % d
-        idx = idx * d + y
-        dot = (dot + B[:, j : j + 1] * y) % d
+        y = states // d ** (n - 1 - j) - A[:, j : j + 1]
+        y %= d
+        idx *= d
+        idx += y
+        dot += B[:, j : j + 1] * y
+        dot %= d
+    del y
     modulus = phase_modulus(d)
-    units = np.asarray(units, dtype=np.int64)[:, None]
+    dot = omega_units(d, dot)
+    dot += np.asarray(units, dtype=np.int64)[:, None]
+    dot %= modulus
     zeta = np.exp(2j * np.pi * np.arange(modulus) / modulus)
-    return idx, zeta[(units + omega_units(d, dot)) % modulus]
+    return idx, zeta[dot]
 
 
-def _element_sum(A, B, units, d: int) -> np.ndarray:
+def _element_sum(A, B, units, d: int, cosets=None) -> np.ndarray:
     """Dense sum of the operators zeta^units[i] X^A[i] Z^B[i], from their action tables.
 
-    The rows are taken _TABLE_ENTRIES // d^n at a time, so the tables
-    stay small however many operators there are.
+    With ``cosets = (block, pos)``, basis state x is row pos[x] of the
+    diagonal block block[x], the operators map every block to itself and
+    the sum comes back as its (blocks, size, size) stack of diagonal
+    blocks.  The rows are taken _TABLE_ENTRIES // d^n at a time, so the
+    tables stay small however many operators there are.
     """
     dim = d ** A.shape[1]
+    block, pos = cosets or (np.zeros(dim, dtype=np.int64), np.arange(dim))
+    blocks = int(block.max()) + 1
+    size = dim // blocks
+    rows_at = (block * size + pos) * size  # flat offset of each state's row
     step = max(1, _TABLE_ENTRIES // dim)
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    total = np.zeros((blocks, size, size), dtype=np.complex128)
     for rows in (slice(i, i + step) for i in range(0, len(units), step)):
         idx, ph = _action_tables(A[rows], B[rows], units[rows], d)
-        np.add.at(total, (np.broadcast_to(np.arange(dim), idx.shape), idx), ph)
-    return total
+        idx = pos[idx]
+        idx += rows_at  # now the flat index of each entry in total
+        np.add.at(total.reshape(-1), idx, ph)
+        del idx, ph  # before the next block's tables
+    return total if cosets else total[0]
 
 
 def _power_tables(ops, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +248,9 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     to rounding; route (a) is the independent heuristic check from below.
     Every element acts through its action table: one gather gives all
     A psi, from which the expectations, the value and the next iterate
-    follow.
+    follow.  Every |<A>| <= 1, so no state beats the element count: a
+    restart stops once its value moves less than ``cfg.tol`` or comes
+    within ``cfg.tol`` of that cap, and one at the cap ends the run.
     """
     cfg = cfg or OptimizerConfig()
     if spec.generators is None:
@@ -233,6 +262,7 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
     idx, ph = _action_tables(*spec.elements, spec.d)
+    at_cap = spec.n_elements - cfg.tol  # a value this high certifies the maximum
 
     def evaluate(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Rows A psi, expectations <psi|A|psi> and their sum of squares."""
@@ -245,24 +275,31 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     for _ in range(cfg.restarts):
         applied, ev, value = evaluate(_random_unit(rng, dim))
         for _ in range(cfg.max_iters):
+            if value >= at_cap:
+                break
             phi = ev.conj() @ applied
             norm = np.linalg.norm(phi)
             if norm < 1e-300:
                 break
             applied, ev, new_value = evaluate(phi / norm)
-            if abs(new_value - value) < cfg.tol:
-                value = new_value
+            moved, value = abs(new_value - value), new_value
+            if moved < cfg.tol:
                 break
-            value = new_value
         best = max(best, value)
+        if best >= at_cap:
+            break
     return float(max(best, evaluate(_commuting_witness(spec))[2]))
 
 
 def max_sum_eigenvalue(spec: GroupSpec) -> float:
     """Top eigenvalue of H = sum over the group of (A + A^dagger), odd d.
 
-    Elements carry their exact product phases; H is Hermitian by
-    construction and diagonalised densely.
+    Elements carry their exact product phases, so H is Hermitian by
+    construction.  X^a Z^b maps the coset y + span(X parts) to itself, so
+    H is block diagonal: each basis state is labelled by the least state
+    of its coset (a running min over the shifts by every generator's X
+    part and its powers), the elements are scattered into the stack of
+    coset blocks, and each block is diagonalised on its own.
     """
     if spec.d == 2:
         raise EvenDimension("the expectation-sum Hamiltonian requires odd d")
@@ -270,12 +307,18 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
         raise ValueError("max_sum_eigenvalue needs concrete generators")
     if spec.k == 0:
         return 2.0
-    dim = spec.d ** spec.generators[0].n_sites
+    d = spec.d
+    dim = d ** spec.generators[0].n_sites
     if dim > ENERGY_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {ENERGY_DIM_CAP}")
-    half = _element_sum(*spec.elements, spec.d)
-    ham = half + half.conj().T
-    top = float(np.linalg.eigvalsh(ham)[-1])
+    label = np.arange(dim)
+    for shifts in _power_tables(spec.generators, d)[0]:  # [s] gathers x - s a
+        label = label[shifts].min(axis=0)
+    block = np.unique(label, return_inverse=True)[1]
+    pos = np.empty(dim, dtype=np.int64)  # place in its coset, in state order
+    pos[np.argsort(block, kind="stable")] = np.arange(dim) % (dim // (int(block.max()) + 1))
+    half = _element_sum(*spec.elements, d, (block, pos))
+    top = float(np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, -1].max())
     if top > sum_bound(spec) + BOUND_TOLERANCE:
         raise RuntimeError(
             f"top eigenvalue {top} exceeds the closed-form bound "
@@ -372,10 +415,10 @@ def max_product_overlap(
     other is the top eigenvector of the partially contracted projector.
     With P = V V^dagger for the cached code basis V, contracting V with
     the fixed factor gives a matrix W whose W W^dagger is that contracted
-    projector, and each restart stops once its value moves less than
-    ``cfg.tol``.  The result is a certified lower bound on the true
-    maximum; with restarts it reaches it for the desk-scale cases tested
-    here.
+    projector.  P <= I, so no overlap exceeds 1: each restart stops once
+    its value moves less than ``cfg.tol`` or comes within ``cfg.tol`` of
+    1.  The result is a certified lower bound on the true maximum; with
+    restarts it reaches it for the desk-scale cases tested here.
     """
     return max_product_overlaps(stab, [subset], cfg)[0]
 
@@ -385,9 +428,17 @@ def max_product_overlaps(
 ) -> list[float]:
     """``max_product_overlap`` of every cut, one stacked ascent per cut size.
 
-    Every cut restarts ``cfg.rng()``, so cuts with equal |Q| share their
-    starts and advance together; a chunk holds as many cuts and restarts
-    as fit in _OVERLAP_ENTRIES complex entries, and at least one of each.
+    The Q | Q^c problem is symmetric, so each cut is keyed by its smaller
+    side and the random starts are drawn on the larger one; cuts of sizes
+    s and n - s share one ascent.  Every cut size restarts ``cfg.rng()``,
+    so cuts of one size share their starts and advance together.  A chunk
+    holds as many cuts and restarts as fit in _OVERLAP_ENTRIES complex
+    entries, and at least one of each (``_overlap_chunk``).  So beside V
+    it allocates at most that budget, or, where one cut and one restart
+    do not fit in it, one cut's two layouts of V (2 d^n width entries)
+    plus one restart's W and Gram matrices: 9.6 MB against the 1 MiB
+    budget at d = 3, n = 6, k = 1.  Restarts run in blocks, and a cut
+    whose overlap has come within ``cfg.tol`` of 1 skips its later blocks.
     """
     cfg = cfg or OptimizerConfig()
     stab.validate()
@@ -403,25 +454,40 @@ def max_product_overlaps(
 
     basis = _code_basis(stab)
     width = basis.shape[1]
+    # key each cut by its smaller side (on a tie, the one holding site 1)
+    sides = [min(q, q.complement(), key=lambda s: (s.size, s.indices[0])) for q in subsets]
     best = [0.0] * len(subsets)
-    for size in sorted({subset.size for subset in subsets}):
-        cuts = [i for i, subset in enumerate(subsets) if subset.size == size]
-        dim_q = d ** size
-        big = max(dim_q, dim // dim_q)
-        # a cut's two code layouts; a restart's larger W, its conjugate,
-        # four Gram-sized arrays and four factor vectors
-        per_cut = 2 * dim * width
-        per_restart = 2 * big * (width + 2) + 4 * min(big, width) ** 2
-        block = min(cfg.restarts, max(1, (_OVERLAP_ENTRIES - per_cut) // per_restart))
-        step = max(1, _OVERLAP_ENTRIES // (per_cut + block * per_restart))
+    for size in sorted({side.size for side in sides}):
+        big = dim // d ** size
+        block, step, _ = _overlap_chunk(dim, big, width, cfg.restarts)
+        cuts = [i for i, side in enumerate(sides) if side.size == size]
         rng = cfg.rng()
         for first in range(0, cfg.restarts, block):
-            starts = _random_units(rng, min(block, cfg.restarts - first), dim // dim_q)
+            cuts = [i for i in cuts if best[i] < 1 - cfg.tol]
+            if not cuts:
+                break
+            starts = _random_units(rng, min(block, cfg.restarts - first), big)
             for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
-                values = _overlap_ascent(basis, d, [subsets[i] for i in chunk], starts, cfg)
+                values = _overlap_ascent(basis, d, [sides[i] for i in chunk], starts, cfg)
                 for i, value in zip(chunk, values.max(axis=1)):
                     best[i] = max(best[i], float(value))
     return best
+
+
+def _overlap_chunk(dim: int, big: int, width: int, restarts: int) -> tuple[int, int, int]:
+    """Restarts per block, cuts per chunk and the complex entries one chunk allocates.
+
+    ``big`` is the dimension of a cut's larger side and ``width`` that of
+    the code space.  The count is within _OVERLAP_ENTRIES unless one cut
+    and one restart alone exceed it.
+    """
+    # a cut's two code layouts; a restart's larger W, its conjugate,
+    # four Gram-sized arrays and four factor vectors
+    per_cut = 2 * dim * width
+    per_restart = 2 * big * (width + 2) + 4 * min(big, width) ** 2
+    block = min(restarts, max(1, (_OVERLAP_ENTRIES - per_cut) // per_restart))
+    step = max(1, _OVERLAP_ENTRIES // (per_cut + block * per_restart))
+    return block, step, step * (per_cut + block * per_restart)
 
 
 def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.ndarray:
@@ -429,6 +495,8 @@ def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.
 
     Each half-step is one batched matrix product over the permuted code
     bases, by_q as (dim_q, dim_rest * width) and by_rest as (dim_rest, ...).
+    An entry stops once its value moves less than ``cfg.tol`` or comes
+    within ``cfg.tol`` of 1.
     """
     cuts, (count, dim_rest) = len(subsets), starts.shape
     n = subsets[0].n_sites
@@ -450,7 +518,7 @@ def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.
         phi = phi.reshape(cuts, count, dim_q).conj()
         new_value, new_chi = _top_left((phi @ by_q).reshape(cuts * count, dim_rest, -1))
         new_value = new_value.reshape(cuts, count)
-        done = np.abs(new_value - value) < cfg.tol
+        done = (np.abs(new_value - value) < cfg.tol) | (new_value >= 1 - cfg.tol)
         np.copyto(value, new_value, where=live)  # a stopped entry's chi no longer counts
         chi = new_chi.reshape(chi.shape)
         live &= ~done

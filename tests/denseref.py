@@ -6,8 +6,9 @@ bare shift and clock, and tensor products are accumulated left to right.
 Group elements are chains of ``PauliOperator.multiply`` and ``power``, not
 the library's closed-form ``ordered_products``.  The optimisers at the end
 keep the matrix-by-matrix form of the oracle's ``max_sos`` and
-``max_product_overlap``, and the overlap ascent one restart at a time on an
-``eigh`` code basis.  The exact kernels after them are the scalar loops
+``max_product_overlap``, the energy maximum on the full d^n x d^n matrix
+rather than its coset blocks, and the overlap ascent one restart at a time
+on an ``eigh`` code basis.  The exact kernels after them are the scalar loops
 that the library's array kernels replaced: the pivoting clique search,
 row-by-row elimination and the vector-by-vector symplectic pass.
 """
@@ -137,6 +138,12 @@ def max_sos(spec, cfg) -> float:
             value = new_value
         best = max(best, value)
     return float(max(best, sos_value(mats, commuting_witness(spec))))
+
+
+def max_sum(spec) -> float:
+    """Top eigenvalue of sum (A + A^dagger) over the group, on the full dense matrix."""
+    half = sum(dense(op) for op in group_elements(spec))  # group_matrices, one at a time
+    return float(np.linalg.eigvalsh(half + half.conj().T)[-1])
 
 
 def projector(stab) -> np.ndarray:

@@ -33,6 +33,7 @@ from frustgraph import (
     max_sum_eigenvalue,
     sos_bound,
     stabilizer_projector,
+    sum_bound,
 )
 from frustgraph import oracle, pauli
 from frustgraph.errors import BadSubset
@@ -182,7 +183,11 @@ def test_batched_overlap_matches_the_per_restart_loop(d, data):
         seed=data.draw(st.integers(0, 2 ** 32 - 1)),
     )
     got = max_product_overlap(stab, q, cfg)
-    assert abs(got - denseref.overlap_per_restart(stab, q, cfg)) < TIGHT
+    # the cut is keyed by its smaller side (on a tie, the one holding site 1)
+    # and the random starts fall on the other side
+    assert max_product_overlaps(stab, [q.complement()], cfg) == [got]
+    smaller = min(q, q.complement(), key=lambda side: (side.size, side.indices[0]))
+    assert abs(got - denseref.overlap_per_restart(stab, smaller, cfg)) < TIGHT
 
 
 def test_stacked_starts_are_successive_unit_draws():
@@ -298,6 +303,27 @@ def test_overlap_check_stays_within_the_chunk_budget(stab):
     finally:
         tracemalloc.stop()
     assert peak <= basis.nbytes + oracle._OVERLAP_ENTRIES * 16  # complex128 entries
+
+
+def test_overlap_check_of_one_codeword_exceeds_the_budget_by_one_cut_and_restart():
+    # k = 1, d^n = 729: one cut's two layouts of the 729 x 243 code basis and
+    # one restart's 243 x 243 W and Gram matrices do not fit the budget, so
+    # each chunk holds one of each and allocates what _overlap_chunk counts
+    stab = graph_code(3, 6, 1, np.random.default_rng(2))
+    basis = _code_basis(stab)
+    dim, width = basis.shape
+    chunks = [
+        oracle._overlap_chunk(dim, dim // 3 ** size, width, OptimizerConfig().restarts)
+        for size in (1, 2, 3)
+    ]
+    assert all(block == step == 1 for block, step, _ in chunks)
+    tracemalloc.start()
+    try:
+        max_product_overlaps(stab, list(bipartitions(6)), OptimizerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(entries for _, _, entries in chunks) * 16
 
 
 def test_overlaps_of_no_cut_and_refused_cuts():
@@ -451,3 +477,201 @@ def test_dense_routes_multiply_no_operators(monkeypatch):
     assert max_sos(spec, CFG) == pytest.approx(sos_bound(spec), abs=oracle.BOUND_TOLERANCE)
     assert max_sum_eigenvalue(spec) > 0
     assert 0 < max_product_overlap(stab, SiteSubset((1, 2), 5), CFG) <= 1 + AGREE
+
+
+@st.composite
+def coset_specs(draw):
+    """(spec, r): a group-mode spec, d in {3, 5} and d^n <= 243, whose X parts span rank r.
+
+    Commuting specs are graph-state generators X_s Z^(A_s) on r sites plus
+    Z_s on some others.  The rest carry random Z parts, and X parts with a
+    nonzero pivot on each of r sites plus random combinations of those
+    rows.  Rank 0 splits H into 1 x 1 blocks, rank n leaves one block; at
+    most 5 (d = 3) or 3 (d = 5) generators keep d^k <= 243.
+    """
+    d = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 5 if d == 3 else 3))
+    most = 5 if d == 3 else 3
+    r = draw(st.integers(0, n))
+    sites = draw(st.permutations(range(n)))
+    pivots, others = sites[:r], sites[r:]
+    residues = st.integers(0, d - 1)
+    unit = np.eye(n, dtype=int)
+    if draw(st.booleans()):  # commuting
+        adj = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            for j in range(i + 1, n):
+                adj[i, j] = adj[j, i] = draw(residues)
+        rows = [(unit[s], adj[s]) for s in pivots]
+        if others:
+            z_sites = draw(st.lists(st.sampled_from(others), unique=True, max_size=most - r))
+            rows += [(0 * unit[s], unit[s]) for s in z_sites]
+        rows = rows or [(0 * unit[0], unit[0])]  # at least one generator
+    else:
+        rows = []
+        for s in pivots:
+            a = np.zeros(n, dtype=int)
+            a[s] = draw(st.integers(1, d - 1))
+            a[list(others)] = draw(st.lists(residues, min_size=n - r, max_size=n - r))
+            rows.append(a)
+        for _ in range(draw(st.integers(0 if r else 1, min(2, most - r)))):
+            mix = draw(st.lists(residues, min_size=r, max_size=r))
+            rows.append(sum((c * row for c, row in zip(mix, rows[:r])), np.zeros(n, dtype=int)) % d)
+        rows = [(a, np.array(draw(st.lists(residues, min_size=n, max_size=n)))) for a in rows]
+    ops = [PauliOperator(d, tuple(int(v) for v in a), tuple(int(v) for v in b)) for a, b in rows]
+    return GroupSpec.from_generators(ops), r
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_specs())
+def test_energy_blocks_match_the_dense_maximum(case):
+    spec, rank = case
+    d, n = spec.d, spec.generators[0].n_sites
+    assert spec.k <= (5 if d == 3 else 3)
+    want = denseref.max_sum(spec)
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    # the route is compared on every spec, also where the top eigenvalue
+    # exceeds sum_bound (two disjoint X/Z pairs reach d^2 (1 + d)), which
+    # the unpatched call refuses below
+    with mock.patch.object(np.linalg, "eigvalsh", recorded), \
+            mock.patch.object(oracle, "sum_bound", lambda spec: np.inf):
+        got = max_sum_eigenvalue(spec)
+    assert shapes == [(d ** (n - rank), d ** rank, d ** rank)]
+    assert abs(got - want) < AGREE
+    if want <= sum_bound(spec):
+        assert max_sum_eigenvalue(spec) == got
+    elif want > sum_bound(spec) + oracle.BOUND_TOLERANCE:
+        with pytest.raises(RuntimeError):
+            max_sum_eigenvalue(spec)
+
+
+def test_energy_blocks_stay_within_one_table_chunk():
+    # d^k d^n = 19683 * 243 table entries, past 2^20: the tables are built
+    # one chunk at a time at 32 bytes per entry, beside the block stack,
+    # its Hermitian part and a little for numpy's ufunc buffers
+    rng = np.random.default_rng(5)
+    d, n, rank = 3, 5, 3
+    a = np.zeros((9, n), dtype=int)
+    a[:, :rank] = rng.integers(0, d, size=(9, rank))
+    b = rng.integers(0, d, size=(9, n))
+    spec = GroupSpec.from_generators(
+        [PauliOperator(d, tuple(int(v) for v in x), tuple(int(v) for v in z)) for x, z in zip(a, b)]
+    )
+    spec.elements  # cached on the spec before the trace starts
+    assert spec.n_elements * d ** n > 2 ** 20
+    stack = d ** n * d ** rank * 16  # 9 complex blocks of 27 x 27
+    tracemalloc.start()
+    try:
+        max_sum_eigenvalue(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * oracle._TABLE_ENTRIES + 2 * stack
+
+
+def draws(monkeypatch) -> list[int]:
+    """Dimensions of the random starts drawn from now on."""
+    seen = []
+    unit = oracle._random_unit
+
+    def counted(rng, dim):
+        seen.append(dim)
+        return unit(rng, dim)
+
+    monkeypatch.setattr(oracle, "_random_unit", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "stab",
+    [builtin_code("ghz", 2, 5), builtin_code("five_qudit", 3, 5),
+     graph_code(3, 5, 2, np.random.default_rng(1))],
+    ids=["ghz-d2-n5", "five_qudit-d3", "graph-d3-n5-k2"],
+)
+def test_sos_of_a_stabilizer_group_stops_after_one_restart(stab, monkeypatch):
+    # a commuting group reaches the cap d^k, so the first restart ends the run
+    spec = GroupSpec.from_generators(stab.generators)
+    seen = draws(monkeypatch)
+    value = max_sos(spec, OptimizerConfig())
+    assert seen == [spec.d ** stab.n_sites]
+    assert abs(value - spec.n_elements) < oracle.BOUND_TOLERANCE
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sos_of_a_non_commuting_group_runs_every_restart(d, monkeypatch):
+    # an X, Z pair on site 1 beside X Z on site 2: no state reaches d^k
+    spec = GroupSpec.from_generators([
+        PauliOperator(d, (1, 0), (0, 0)), PauliOperator(d, (0, 0), (1, 0)),
+        PauliOperator(d, (0, 1), (0, 1)).canonical_unit_phase(),
+    ])
+    cfg = OptimizerConfig(restarts=6, seed=2)
+    seen = draws(monkeypatch)
+    value = max_sos(spec, cfg)
+    assert len(seen) == cfg.restarts
+    assert value < spec.n_elements - 1
+    assert abs(value - denseref.max_sos(spec, cfg)) < AGREE
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["budget", "one-restart-blocks"])
+@pytest.mark.parametrize(
+    "stab", [builtin_code("ghz", 3, 5), builtin_code("five_qudit", 3, 5)], ids=["ghz", "five_qudit"]
+)
+def test_overlaps_below_one_run_every_restart_block(stab, entries, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
+    cfg = OptimizerConfig(restarts=5, seed=4)
+    seen = draws(monkeypatch)
+    values = max_product_overlaps(stab, list(bipartitions(5)), cfg)
+    assert max(values) < 1 - cfg.tol
+    # sides of sizes 1 and 2 key every cut; the starts fall on the larger side
+    assert sorted(seen) == [27] * cfg.restarts + [81] * cfg.restarts
+
+
+def test_overlaps_at_one_skip_later_restart_blocks(monkeypatch):
+    # a product state: every cut reaches overlap 1 in its first block
+    stab = Stabilizer(PauliOperator.single(3, 5, s, z_exp=1) for s in range(1, 6))
+    monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", 1)  # one restart per block
+    halves = []
+    top_left = oracle._top_left
+
+    def counted(w):
+        halves.append(len(w))
+        return top_left(w)
+
+    monkeypatch.setattr(oracle, "_top_left", counted)
+    cfg = OptimizerConfig(restarts=5, seed=4)
+    seen = draws(monkeypatch)
+    cuts = list(bipartitions(5))
+    values = max_product_overlaps(stab, cuts, cfg)
+    assert all(abs(value - 1) < cfg.tol for value in values)
+    assert sorted(seen) == [27, 81]
+    # one ascent step per cut: the first value is already at the cap
+    assert sum(halves) == 2 * len(cuts)
+
+
+def test_overlap_grams_span_the_smaller_side(monkeypatch):
+    # graph d=3 n=5 k=2: starts on the larger side leave Gram matrices of
+    # at most 9 x 9; starts on the smaller side would diagonalise 27 x 27 ones
+    stab = graph_code(3, 5, 2, np.random.default_rng(1))
+    eigh = np.linalg.eigh
+    widths = []
+
+    def recorded(a):
+        widths.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    cuts = list(bipartitions(5))
+    values = max_product_overlaps(stab, cuts, OptimizerConfig())
+    assert widths and max(widths) <= 9
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    cfg = OptimizerConfig()
+    for q, value in zip(cuts, values):
+        smaller = min(q, q.complement(), key=lambda side: (side.size, side.indices[0]))
+        assert abs(value - denseref.overlap_per_restart(stab, smaller, cfg)) < TIGHT

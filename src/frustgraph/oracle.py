@@ -20,17 +20,18 @@ basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
 plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
 is the one place that turns exponent arrays into idx and exact phases,
 for many operators at once.  ``max_sos`` applies every row of
-``GroupSpec.elements`` that way; ``dense_pauli``, ``max_sum_eigenvalue``
-and ``stabilizer_projector`` scatter the same tables into one dense sum
-(``_element_sum``); ``max_sum_eigenvalue`` keeps only the diagonal
-blocks, one per coset of the span of the X parts, and diagonalises the
-stack.  ``_power_tables`` holds every power g^s of a list of operators:
+``GroupSpec.elements`` that way; ``dense_pauli`` scatters one operator's
+row.  ``_power_tables`` holds every power g^s of a list of operators.
 ``max_sos`` refines a single vector into its commuting witness through
-them, ``max_sum_eigenvalue`` labels the cosets with them, and
-``max_product_overlaps`` runs stacked cuts and restarts on an orthonormal
-basis of the code space, random columns pushed through the factors
-(1/d) sum_s g^s of the code projector, orthonormalised once per
-``Stabilizer`` and cached on it.  Its random starts are drawn on the
+them, and ``_group_sum`` forms every group sum from them: the sum over
+all d^k ordered products T_1^I_1 ... T_k^I_k is the product of the k
+factors sum_s T_i^s, each d gathers.  ``stabilizer_projector`` applies
+it to the identity; ``max_sum_eigenvalue`` applies it to one identity
+column per place in a coset of the span of the X parts, which gives the
+diagonal coset blocks as one stack; ``max_product_overlaps`` runs
+stacked cuts and restarts on an orthonormal basis of the code space,
+random columns pushed through the code projector, orthonormalised once
+per ``Stabilizer`` and cached on it.  Its random starts are drawn on the
 larger side of each cut.
 
 The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
 from .gf import check_modulus
-from .group import GroupSpec, sum_bound
+from .group import GroupSpec
 from .pauli import (
     PauliOperator,
     SiteSubset,
@@ -69,8 +70,6 @@ OVERLAP_DIM_CAP = 1024
 SWAP_D_CAP = 11
 # complex entries one chunk of the stacked overlap ascent may allocate
 _OVERLAP_ENTRIES = 2 ** 16
-# entries per block of action tables scattered into a dense element sum
-_TABLE_ENTRIES = 2 ** 20
 
 # named tolerances, also surfaced by the test suite
 SWAP_TOLERANCE = 1e-12
@@ -111,7 +110,10 @@ def dense_pauli(op: PauliOperator) -> np.ndarray:
     dim = op.d ** op.n_sites
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    return _element_sum(*exponent_tableau([op]), [op.phase_exp], op.d)
+    idx, ph = _action_tables(*exponent_tableau([op]), [op.phase_exp], op.d)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[np.arange(dim), idx[0]] = ph[0]
+    return out
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -176,37 +178,24 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, zeta[dot]
 
 
-def _element_sum(A, B, units, d: int, cosets=None) -> np.ndarray:
-    """Dense sum of the operators zeta^units[i] X^A[i] Z^B[i], from their action tables.
-
-    With ``cosets = (block, pos)``, basis state x is row pos[x] of the
-    diagonal block block[x], the operators map every block to itself and
-    the sum comes back as its (blocks, size, size) stack of diagonal
-    blocks.  The rows are taken _TABLE_ENTRIES // d^n at a time, so the
-    tables stay small however many operators there are.
-    """
-    dim = d ** A.shape[1]
-    block, pos = cosets or (np.zeros(dim, dtype=np.int64), np.arange(dim))
-    blocks = int(block.max()) + 1
-    size = dim // blocks
-    rows_at = (block * size + pos) * size  # flat offset of each state's row
-    step = max(1, _TABLE_ENTRIES // dim)
-    total = np.zeros((blocks, size, size), dtype=np.complex128)
-    for rows in (slice(i, i + step) for i in range(0, len(units), step)):
-        idx, ph = _action_tables(A[rows], B[rows], units[rows], d)
-        idx = pos[idx]
-        idx += rows_at  # now the flat index of each entry in total
-        np.add.at(total.reshape(-1), idx, ph)
-        del idx, ph  # before the next block's tables
-    return total if cosets else total[0]
-
-
 def _power_tables(ops, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Action tables of every power: [i, s] of the (len(ops), d, d^n) idx and ph is ops[i]^s."""
     k = len(ops)
     powers = np.kron(np.eye(k, dtype=np.int64), np.arange(d)[:, None])  # row i*d + s
     idx, ph = _action_tables(*ordered_products(ops, powers), d)
     return idx.reshape(k, d, -1), ph.reshape(k, d, -1)
+
+
+def _group_sum(tables, cols: np.ndarray) -> np.ndarray:
+    """Sum over the group of A @ cols, from the ``_power_tables`` of its generators.
+
+    The elements are the ordered products T_1^I_1 ... T_k^I_k, so the sum
+    is F_1 F_2 ... F_k with F_i = sum_s T_i^s, d gathers each.  F_k acts
+    first: starting from F_1 would give the adjoint of the sum instead.
+    """
+    for gather, phase in zip(*(t[::-1] for t in tables)):
+        cols = np.einsum("sx,sx...->x...", phase, cols[gather])  # sum_s T^s cols
+    return cols
 
 
 def _commuting_witness(spec: GroupSpec) -> np.ndarray:
@@ -297,9 +286,12 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     Elements carry their exact product phases, so H is Hermitian by
     construction.  X^a Z^b maps the coset y + span(X parts) to itself, so
     H is block diagonal: each basis state is labelled by the least state
-    of its coset (a running min over the shifts by every generator's X
-    part and its powers), the elements are scattered into the stack of
-    coset blocks, and each block is diagonalised on its own.
+    of its coset (a running min over the shifts by every generator power).
+    Column j of the identity stack holds the j-th state of every coset;
+    every factor of ``_group_sum`` keeps each coset to itself, so the sum
+    applied to it reads off every coset block at once, and one
+    ``eigvalsh`` diagonalises the (cosets, s, s) stack.  The value is
+    returned as found, also where it exceeds ``sum_bound``.
     """
     if spec.d == 2:
         raise EvenDimension("the expectation-sum Hamiltonian requires odd d")
@@ -311,30 +303,26 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     dim = d ** spec.generators[0].n_sites
     if dim > ENERGY_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {ENERGY_DIM_CAP}")
+    tables = _power_tables(spec.generators, d)
     label = np.arange(dim)
-    for shifts in _power_tables(spec.generators, d)[0]:  # [s] gathers x - s a
+    for shifts in tables[0]:  # [s] gathers x - s a
         label = label[shifts].min(axis=0)
-    block = np.unique(label, return_inverse=True)[1]
-    pos = np.empty(dim, dtype=np.int64)  # place in its coset, in state order
-    pos[np.argsort(block, kind="stable")] = np.arange(dim) % (dim // (int(block.max()) + 1))
-    half = _element_sum(*spec.elements, d, (block, pos))
-    top = float(np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, -1].max())
-    if top > sum_bound(spec) + BOUND_TOLERANCE:
-        raise RuntimeError(
-            f"top eigenvalue {top} exceeds the closed-form bound "
-            f"{sum_bound(spec)}"
-        )
-    return top
+    size = dim // int(np.count_nonzero(label == np.arange(dim)))
+    order = np.argsort(label, kind="stable")  # coset by coset, each in state order
+    eye = np.zeros((dim, size), dtype=np.complex128)
+    eye[order, np.arange(dim) % size] = 1.0
+    half = _group_sum(tables, eye)[order].reshape(-1, size, size)
+    return float(np.linalg.eigvalsh(half + half.conj().transpose(0, 2, 1))[:, -1].max())
 
 
 def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
-    """Dense projector onto the stabilized subspace, (1/d^k) sum of elements."""
+    """Dense projector onto the stabilized subspace, ``_group_sum`` of the identity over d^k."""
     stab.validate()
     dim = stab.d ** stab.n_sites
     if dim > DENSE_DIM_CAP:
         raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    spec = GroupSpec.from_generators(stab.generators)
-    proj = _element_sum(*spec.elements, spec.d) / stab.d ** stab.k
+    tables = _power_tables(stab.generators, stab.d)
+    proj = _group_sum(tables, np.eye(dim, dtype=np.complex128)) / stab.d ** stab.k
     if np.max(np.abs(proj - proj.conj().T)) > HERMITICITY_TOLERANCE:
         raise RuntimeError("stabilizer projector is not Hermitian")
     if np.max(np.abs(proj @ proj - proj)) > HERMITICITY_TOLERANCE:
@@ -345,7 +333,7 @@ def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
 def _code_basis(stab: Stabilizer) -> np.ndarray:
     """Orthonormal d^n x d^(n-k) basis of the stabilized subspace.
 
-    P = prod_i (1/d) sum_s g_i^s, each factor d gathers through the action
+    P = (1/d^k) ``_group_sum``, each factor d gathers through the action
     tables, maps d^(n-k) fixed-seed random columns into the code space and
     one QR orthonormalises them.  Refused unless all diagonal entries of R
     clear the rank cutoff and P V = V.  Built once and cached on ``stab``.
@@ -356,12 +344,10 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
         dim, want = d ** stab.n_sites, d ** (stab.n_sites - stab.k)
         if dim > DENSE_DIM_CAP:
             raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-        factors = list(zip(*_power_tables(stab.generators, d)))
+        tables = _power_tables(stab.generators, d)
 
         def project(cols: np.ndarray) -> np.ndarray:
-            for gather, phase in factors:
-                cols = sum(p[:, None] * cols[g] for g, p in zip(gather, phase)) / d
-            return cols
+            return _group_sum(tables, cols) / d ** stab.k
 
         rng = np.random.Generator(np.random.Philox(0))
         cols = rng.normal(size=(dim, want)) + 1j * rng.normal(size=(dim, want))

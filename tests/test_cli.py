@@ -369,6 +369,27 @@ def test_verify_document_checks_need_a_document():
         run_command("verify", None, CommandFlags(checks=("sos",)))
 
 
+@pytest.mark.parametrize(
+    "text,code,value",
+    [
+        # two X/Z pairs on disjoint sites reach d^2 (1 + d) = 36, above sum_bound
+        ("d=3 n=4 mode=group\ng1: X I I I\ng2: I X I Z\ng3: Z I X I\ng4: I I I X\n",
+         2, "36.0000000000"),
+        # 3^14 ordered products of one operator: exactly 2 * 3^14 = sum_bound
+        ("d=3 n=2 mode=group\n" + "".join(f"g{i}: X Z\n" for i in range(1, 15)),
+         0, "9565938.00000"),
+    ],
+    ids=["above-sum-bound", "repeated-generator"],
+)
+def test_verify_sum_reports_the_found_value(text, code, value, tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    assert main(["verify", str(path), "--sum", "--format", "json"]) == code
+    (entry,) = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert entry["name"] == "sum" and entry["value"] == value
+    assert entry["pass"] is (code == 0)
+
+
 @pytest.mark.parametrize("command", ["analyze", "canonical", "entanglement"])
 def test_commands_other_than_verify_need_a_document(command):
     from frustgraph import InvalidMode

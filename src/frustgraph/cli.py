@@ -22,6 +22,7 @@ report closes the pipe early.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -62,7 +63,6 @@ from .oracle import (
 )
 from .pauli import PauliOperator, omega_units
 from .stabilizer import Stabilizer, builtin_code, ggm_from_reports, gme_from_reports
-from .symplectic import canonical_form
 
 REPORT_SCHEMA = "frustgraph-report/1"
 
@@ -75,13 +75,18 @@ _SITE_RE = re.compile(r"(?:X\^(\d+))?(?:Z\^(\d+))?", re.ASCII)
 
 @dataclass(frozen=True)
 class InputDocument:
-    """A parsed generator document."""
+    """A parsed generator document; ``spec`` is its one ``GroupSpec``."""
 
     d: int
     n_sites: int
     generators: tuple[PauliOperator, ...]
     mode: str | None = None
     digest: str = ""
+
+    @functools.cached_property
+    def spec(self) -> GroupSpec:
+        """The generators' group, built once and shared by every command."""
+        return GroupSpec.from_generators(self.generators)
 
 
 def real_str(x: float) -> str:
@@ -194,7 +199,7 @@ def parse_document(text: str) -> InputDocument:
                     known[tok] = _parse_site_token(tok, d, line_no, col)
             pairs = [known[tok] for tok in tokens]
         a, b = zip(*pairs)
-        generators.append(PauliOperator(d, a, b, phase))
+        generators.append(PauliOperator._trusted(d, a, b, phase))
     if header is None:
         raise ParseError(1, 1, "empty document; a header line is required")
     if not generators:
@@ -280,7 +285,7 @@ class Report:
 
 
 def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
-    spec = GroupSpec.from_generators(doc.generators)
+    spec = doc.spec
     r = spec.gamma_rank
     result = {
         "d": spec.d,
@@ -305,8 +310,8 @@ def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
 
 
 def _run_canonical(doc: InputDocument, flags: CommandFlags) -> Report:
-    spec = GroupSpec.from_generators(doc.generators)
-    form = canonical_form(spec.gamma)
+    spec = doc.spec
+    form = spec.normal_form
     result = {
         "d": spec.d,
         "k": spec.k,
@@ -363,7 +368,6 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
         raise InvalidMode("sos/sum/overlap checks need an input file or --builtin")
     cfg = flags.optimizer()
     d_abstract = flags.d if flags.d is not None else (doc.d if doc else 3)
-    spec = None  # one GroupSpec per document, built by the first check needing it
     entries: list[dict] = []
     for name in checks:
         if name == "swap":
@@ -388,7 +392,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 _check_entry("theta", abs(total - want), BOUND_TOLERANCE, d=d_abstract)
             )
         elif name in ("sos", "sum"):
-            spec = spec or GroupSpec.from_generators(doc.generators)
+            spec = doc.spec
             if name == "sos":
                 bound, got = float(sos_bound(spec)), max_sos(spec, cfg)
                 deviation = abs(got - bound)

@@ -38,7 +38,7 @@ class NotAntisymmetric(FrustGraphError):
 
 
 class InternalParity(FrustGraphError):
-    """nullity + k came out odd, which only happens for broken adjacency input."""
+    """An alternating matrix's rank came out odd, which only broken input can cause."""
 
     code = "internal-parity"
 

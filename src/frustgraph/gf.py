@@ -10,7 +10,12 @@ stack of alternating matrices by pair-block elimination, without inverses.
 Scalars of Z_d are plain Python ints.  Integer arrays follow one rule,
 ``exact_dtype``: int64 while no sum they hold can overflow it, Python ints
 (object dtype) beyond that, so every result is exact whatever d is; the
-stacks of ``alternating_ranks`` are int16 where that fits (``block_dtype``).
+stacks of ``alternating_ranks`` and the work rows of
+``symplectic.canonical_form`` are int16 where that fits (``block_dtype``).
+Every matrix product over Z_d goes through ``matmul_mod``, which adds a
+float64 tier in front of that rule: while each sum stays below 2^53, a
+product large enough to repay the conversions runs on float64 BLAS and is
+still exact.
 Moduli are proven prime by deterministic Miller-Rabin (``is_prime``),
 which is exact below MILLER_RABIN_BOUND; a larger d is refused.
 """
@@ -90,6 +95,35 @@ def reduce_mod(x: np.ndarray, d: int) -> np.ndarray:
     return x - x // d * d
 
 
+FLOAT_EXACT = 2 ** 53  # float64 holds every integer of smaller magnitude
+# multiply-adds below which numpy's int64 loop is as fast as converting
+# both factors for one BLAS call: a 12 x 24 x 12 product ties
+FLOAT_MIN_WORK = 2 ** 13
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Exact ``a @ b mod d`` for integer arrays with entries in (-d, d).
+
+    Each entry is a sum of ``terms = a.shape[-1]`` products, at most
+    terms (d-1)^2 in magnitude.  Below 2^53 every partial sum is an integer
+    that float64 holds exactly, whatever order BLAS adds in, so the product
+    runs in float64 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS
+    35(3), 2008); numpy has no BLAS for integer dtypes.  Products of fewer
+    than FLOAT_MIN_WORK multiply-adds, which the conversions to and from
+    float64 would slow down, and products past 2^53 take the
+    ``exact_dtype`` route: int64, then Python ints.  Stacks of matrices
+    multiply pairwise.  Returns residues in [0, d), int64 unless the
+    Python-int route was taken.
+    """
+    terms = a.shape[-1]
+    work = a.size * (b.shape[-1] if b.ndim > 1 else 1)  # multiply-adds
+    if terms * (d - 1) ** 2 < FLOAT_EXACT and work >= FLOAT_MIN_WORK:
+        product = a.astype(np.float64) @ b.astype(np.float64)
+        return reduce_mod(product.astype(np.int64), d)
+    dtype = exact_dtype(d, terms)
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % d
+
+
 _python_ints = np.frompyfunc(int, 1, 1)  # object array -> Python int entries
 
 
@@ -105,8 +139,9 @@ class GFMatrix:
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got shape {arr.shape}")
         if dtype is object:
-            arr = _python_ints(arr)
-        self.entries = arr % self.d
+            self.entries = _python_ints(arr) % self.d
+        else:
+            self.entries = reduce_mod(arr, self.d)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, d: int) -> "GFMatrix":
@@ -142,9 +177,7 @@ class GFMatrix:
             raise DimensionMismatch(f"moduli differ: {self.d} vs {other.d}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        dtype = exact_dtype(self.d, self.cols)
-        product = self.entries.astype(dtype) @ other.entries.astype(dtype)
-        return GFMatrix(product % self.d, self.d)
+        return GFMatrix(matmul_mod(self.entries, other.entries, self.d), self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GFMatrix):

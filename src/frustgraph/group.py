@@ -28,13 +28,12 @@ from .errors import (
     DimensionMismatch,
     EvenDimension,
     GammaMismatch,
-    InternalParity,
     PhaseViolation,
     TooLarge,
 )
-from .gf import GFMatrix, check_modulus, nullspace_basis, rank
+from .gf import GFMatrix, check_modulus, matmul_mod, nullspace_basis
 from .pauli import PauliOperator, commutator_matrix, exponent_tableau, ordered_products
-from .symplectic import check_antisymmetric
+from .symplectic import CanonicalForm, canonical_form, check_antisymmetric
 
 VERTEX_CAP = 256  # commutation graphs and their clique search
 COLORING_VERTEX_CAP = 64
@@ -58,7 +57,9 @@ class GroupSpec:
     generators) are first class; concrete generators are needed only by
     the dense oracle routines.  Given generators, gamma may be None: it is
     then derived from them, as ``from_generators`` does, and otherwise
-    checked against them.  ``gamma_rank`` and ``elements`` are computed once.
+    checked against them.  ``normal_form``, the certified symplectic normal
+    form of gamma, and ``elements`` are computed once; every closed form
+    reads the rank of gamma off the normal form, as twice its pair count.
     """
 
     d: int
@@ -120,8 +121,13 @@ class GroupSpec:
         return self.d ** self.k
 
     @functools.cached_property
+    def normal_form(self) -> CanonicalForm:
+        return canonical_form(self.gamma)
+
+    @property
     def gamma_rank(self) -> int:
-        return rank(self.gamma)
+        """rank(gamma) = 2m, certified by O^T gamma O = m pair blocks, O invertible."""
+        return 2 * self.normal_form.m
 
     @functools.cached_property
     def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,7 +188,8 @@ def commutation_graph(spec: GroupSpec) -> CommutationGraph:
         raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
     labels = element_indices(spec.d, spec.k)
     V = np.array(labels, dtype=np.int64).reshape(n, spec.k)
-    edges = (V @ spec.gamma.entries @ V.T) % spec.d == 0
+    d = spec.d
+    edges = matmul_mod(matmul_mod(V, spec.gamma.entries, d), V.T, d) == 0
     np.fill_diagonal(edges, False)
     rows = np.packbits(edges, axis=1, bitorder="little")
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
@@ -209,10 +216,6 @@ def central_subgroup_indices(spec: GroupSpec) -> list[Index]:
 def clique_number(spec: GroupSpec) -> int:
     """Closed-form clique number d^((nullity + k)/2) of the commutation graph."""
     nullity = spec.k - spec.gamma_rank
-    if (nullity + spec.k) % 2:
-        raise InternalParity(
-            "nullity + k is odd; the input gamma cannot be antisymmetric"
-        )
     return spec.d ** ((nullity + spec.k) // 2)
 
 

@@ -62,7 +62,6 @@ from .pauli import (
     phase_modulus,
 )
 from .stabilizer import Stabilizer
-from .symplectic import canonical_form
 
 DENSE_DIM_CAP = 4096
 ENERGY_DIM_CAP = 1024
@@ -211,7 +210,7 @@ def _commuting_witness(spec: GroupSpec) -> np.ndarray:
     later projections keep the earlier eigenvalues.
     """
     d = spec.d
-    cf = canonical_form(spec.gamma)
+    cf = spec.normal_form
     cols = [2 * i for i in range(cf.m)] + list(range(2 * cf.m, spec.k))
     A, B, _ = ordered_products(spec.generators, cf.O.entries[:, cols].T)
     ops = [PauliOperator(d, tuple(a), tuple(b)).canonical_unit_phase() for a, b in zip(A, B)]

@@ -8,8 +8,10 @@ plus two exponent vectors,
 with X kept to the left of Z on every site.  Reordering a Z past an X on
 one site costs a factor omega = exp(2*pi*i/d), so products, powers and
 inverses reduce to integer bookkeeping on (p, a, b) in plain Python ints,
-and ``ordered_products`` is their closed form over the exponent tableau,
-whose arrays take their dtype from the one rule, ``gf.exact_dtype``.
+and ``ordered_products`` is their closed form over the exponent tableau.
+Tableau arrays take their dtype from the one rule, ``gf.exact_dtype``, and
+every product of them goes through ``gf.matmul_mod``: float64 BLAS while
+its sums stay below 2^53, then int64, then Python ints.
 
 The phase unit zeta is omega itself for odd d and the quarter turn i for
 d = 2.  For odd d the reachable phases are exactly the powers of omega;
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadSubset, DimensionMismatch
-from .gf import _python_ints, check_modulus, exact_dtype
+from .gf import _python_ints, check_modulus, exact_dtype, matmul_mod
 
 
 def phase_modulus(d: int) -> int:
@@ -61,6 +63,18 @@ class PauliOperator:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "phase_exp", int(self.phase_exp) % phase_modulus(d))
+
+    @classmethod
+    def _trusted(cls, d: int, a: tuple[int, ...], b: tuple[int, ...],
+                 phase_exp: int) -> "PauliOperator":
+        """An operator from fields that already hold the checked normal form.
+
+        For callers that have proven d prime and reduced every exponent
+        themselves, such as the document parser: no check or reduction runs.
+        """
+        op = object.__new__(cls)
+        op.__dict__.update(d=d, a=a, b=b, phase_exp=phase_exp)
+        return op
 
     @classmethod
     def identity(cls, d: int, n_sites: int) -> "PauliOperator":
@@ -208,14 +222,15 @@ def ordered_products(ops, exponents) -> tuple[np.ndarray, np.ndarray, np.ndarray
     E = np.array(exponents, dtype=object)
     if E.ndim != 2 or E.shape[1] != k:
         raise DimensionMismatch(f"need rows of {k} exponents, got shape {E.shape}")
-    dtype = exact_dtype(d, max(k, 2 * A.shape[1]))  # sums of k or 2n products
+    dtype = exact_dtype(d, k)  # the row sums below add k products
     E = (_python_ints(E) % m).astype(dtype)
-    A, B = A.astype(dtype), B.astype(dtype)
+    Ed = E % d if m != d else E  # the Pauli part and the cross terms see I mod d
     p = np.array([op.phase_exp for op in ops], dtype=dtype)
-    C = (B @ A.T) % d
-    t = (E * ((E @ np.triu(C, 1).T) % d)).sum(axis=1) % d
-    t += ((E * (E - 1) // 2 % d) * np.diagonal(C)).sum(axis=1) % d
-    return (E @ A) % d, (E @ B) % d, ((E @ p) % m + omega_units(d, t)) % m
+    C = matmul_mod(B, A.T, d)
+    t = ((Ed * matmul_mod(Ed, np.triu(C, 1).T, d)).sum(axis=1) % d
+         + ((E * (E - 1) // 2 % d) * np.diagonal(C)).sum(axis=1) % d)
+    units = (matmul_mod(E, p, m) + omega_units(d, t)) % m
+    return matmul_mod(Ed, A, d), matmul_mod(Ed, B, d), units
 
 
 def ordered_product(ops, exponents) -> PauliOperator:
@@ -264,8 +279,12 @@ def commutator_matrix(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
 
     Entry (i, j) is commutator_exponent of rows i and j; selecting columns
     of A and B first gives the commutators of the restricted operators.
+    It is one product of 2n terms, [B | -A] [A | B]^T, and a stack of
+    (..., k, n) tableaux gives the stack of their matrices.
     """
-    return (B @ A.T - A @ B.T) % d
+    left = np.concatenate([B, -A], axis=-1)
+    right = np.concatenate([A, B], axis=-1).swapaxes(-1, -2)
+    return matmul_mod(left, right, d)
 
 
 def tensor(*ops: PauliOperator) -> PauliOperator:

@@ -187,8 +187,8 @@ class Stabilizer:
             )
         d, n, k = self.d, self.n_sites, self.k
         # gamma_Q is the sum over s in Q of the per-site forms gamma_s
-        per_site = np.array([commutator_matrix(self._A[:, [s]], self._B[:, [s]], d)
-                             for s in range(n)], dtype=block_dtype(d, n)).reshape(n, k * k)
+        per_site = commutator_matrix(self._A.T[:, :, None], self._B.T[:, :, None], d)
+        per_site = per_site.astype(block_dtype(d, n)).reshape(n, k * k)
         block = SCAN_BLOCK * 2 // per_site.itemsize
         ranks: list[int] = []
         for start in range(0, count, block):

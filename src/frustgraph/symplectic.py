@@ -10,7 +10,10 @@ and a full-column-rank coupling block.
 
 Both functions return the explicit invertible change of basis O and check
 O^T g O against the claimed shape before returning; ties are always broken
-by lowest index, so O is deterministic.
+by lowest index, so O is deterministic.  The pass holds its work rows in
+the narrow ``gf.block_dtype`` and forms every sum of products through
+``gf.matmul_mod`` (float64 BLAS while exact); ``GroupSpec.normal_form``
+keeps one such form per group, and its 2m is the group's certified rank.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAntisymmetric
-from .gf import GFMatrix, exact_dtype, rank
+from .gf import GFMatrix, block_dtype, matmul_mod, rank, reduce_mod
 
 
 def check_antisymmetric(gamma: GFMatrix) -> None:
@@ -55,6 +58,13 @@ def pair_block_matrix(k: int, m: int, d: int) -> GFMatrix:
 def canonical_form(gamma: GFMatrix) -> CanonicalForm:
     """Symplectic normal form of an antisymmetric matrix over Z_d.
 
+    The remaining vectors and their form rows are the rows of one work
+    array W = [V | V g], held in ``block_dtype(d, 1)``: int16 up to
+    d = 103, where a residue plus two products of residues, which the
+    rank-2 row update holds before it reduces, stays below 3 (d-1)^2
+    < 2^15; int64, then Python ints, above.  Form values and pair
+    coefficients are products through ``matmul_mod``.
+
     O is certified by O^T g O == P, the pair blocks then zeros, and by the
     full column rank of its residual block O[:, 2m:] alone.  Over a prime
     field the two imply that O is invertible: if O c = 0, then
@@ -64,38 +74,37 @@ def canonical_form(gamma: GFMatrix) -> CanonicalForm:
     check_antisymmetric(gamma)
     d = gamma.d
     k = gamma.rows
-    # form value u^T g v = ((u^T g) mod d) v: k products of residues twice
-    dtype = exact_dtype(d, k)
-    g = gamma.entries.astype(dtype)
+    dtype = block_dtype(d, 1)
     # rows 0..r-1 of W = [V | V g mod d] are the remaining basis vectors
     # and their form rows; O's columns fill with the pairs, then the rest
-    W = np.hstack([np.eye(k, dtype=dtype), g])
+    W = np.hstack([np.eye(k, dtype=dtype), gamma.entries.astype(dtype)])
     V, VG = W[:, :k], W[:, k:]
     O = np.zeros((k, k), dtype=dtype)
-    coef = np.zeros((k, 2), dtype=dtype)
-    step = np.zeros((k, 2 * k), dtype=dtype)
-    r, m = k, 0
+    r, m, i = k, 0, 0
     while True:
-        for i in range(r):
-            nonzero = np.flatnonzero(VG[i] @ V[:r].T % d)
+        # a vector whose form row vanishes on the rest keeps it vanishing,
+        # since later vectors are combinations of the rest: the search for
+        # the next pair resumes at the last pair's first member
+        for i in range(i, r):
+            form = matmul_mod(VG[i], V[:r].T, d)  # u^T g v for every v
+            nonzero = np.flatnonzero(form)
             if nonzero.size:
                 break
         else:
             break
         j = int(nonzero[0])  # j > i: row j would have hit first otherwise
         # rescale the partner so the pair's form value is exactly -1
-        scale = -pow(int(VG[i] @ V[j]) % d, -1, d) % d
+        scale = -pow(int(form[j]), -1, d) % d
         x, y = W[i].copy(), W[j] * scale % d  # [u | u g] and [w | w g]
         O[:, 2 * m], O[:, 2 * m + 1] = x[:k], y[:k]
         m, r = m + 1, r - 2
         W[i:j - 1] = W[i + 1:j]  # drop rows i and j, keeping the order
         W[j - 1:r] = W[j + 1:r + 2]
         # v += (vg.w) u - (vg.u) w clears both directions, and vg follows
-        np.matmul(VG[:r], np.stack([y[:k], x[:k]], axis=1), out=coef[:r])
-        coef[:r] %= d
-        np.matmul(coef[:r], np.stack([x, -y]), out=step[:r])
-        W[:r] += step[:r]
-        W[:r] %= d
+        coef = matmul_mod(VG[:r], np.stack([y[:k], x[:k]], axis=1), d).astype(dtype)
+        W[:r] += coef[:, :1] * x
+        W[:r] -= coef[:, 1:] * y
+        W[:r] = reduce_mod(W[:r], d)
     O[:, 2 * m:] = V[:r].T
     O = GFMatrix(O, d)
 

@@ -239,6 +239,40 @@ def test_site_tokens_parse_once_per_document(monkeypatch):
     assert len(calls) == 5
 
 
+def assert_generators_validated(doc) -> None:
+    """Each parsed generator equals the validating constructor's, field for field."""
+    for g in doc.generators:
+        assert g == PauliOperator(g.d, g.a, g.b, g.phase_exp)
+        assert type(g.a) is tuple and type(g.b) is tuple
+        assert all(type(v) is int for v in (g.d, g.phase_exp, *g.a, *g.b))
+
+
+@pytest.mark.parametrize("path", sorted(DOCS_DIR.glob("*.txt")), ids=lambda path: path.stem)
+def test_parsed_generators_match_the_validating_constructor(path):
+    assert_generators_validated(parse_document(path.read_text(encoding="utf-8")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_documents())
+@example("d=2 n=2\ng1: w^1/2 X^1Z^1 I\ng2: w^3 X Z\ng3: w^2/2 I I\n")
+@example("d=3 n=1\ng1: w^7 X^2Z^2\n")
+def test_parse_skips_no_check_the_constructor_makes(text):
+    try:
+        doc = parse_document(text)
+    except FrustGraphError:
+        return  # malformed documents: test_memoised_parse_matches_per_token_parse
+    assert_generators_validated(doc)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [("X^3", ExponentOutOfRange), ("Z^1X^1", ParseError), ("Q", ParseError), ("w^x X", ParseError)],
+)
+def test_parse_still_refuses_bad_tokens(body, error):
+    with pytest.raises(error):
+        parse_document(f"d=3 n=1\ng1: {body}\n")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("tok", ["w^x", "w^", "w^\u0661", "w^1/x"])
 def test_malformed_phase_token_is_a_parse_error_at_its_column(tok, n):
@@ -700,7 +734,7 @@ def test_analyze_eliminates_once(monkeypatch):
     ]
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "rank", counted)
-    assert "frustgraph.group" in patched
+    assert "frustgraph.symplectic" in patched  # the normal form's residual check
     doc = parse_document((DOCS_DIR / "ghz3_d3.txt").read_text())
     report = run_command("analyze", doc, CommandFlags())
     assert report.result["sum_bound"] is not None  # odd d: every rank reader runs

@@ -13,7 +13,7 @@ from frustgraph import (
     GFMatrix,
     GammaMismatch,
     GroupSpec,
-    InternalParity,
+    NotAntisymmetric,
     PauliOperator,
     TooLarge,
     central_subgroup_indices,
@@ -159,12 +159,12 @@ def test_clique_number_examples():
 
 def test_clique_number_parity_guard():
     # a broken gamma (not antisymmetric) can only be smuggled in past
-    # validation; nullity + k then comes out odd and is rejected
+    # validation; the normal form that carries the rank still refuses it
     odd = GroupSpec.__new__(GroupSpec)
     object.__setattr__(odd, "d", 3)
     object.__setattr__(odd, "gamma", GFMatrix([[1]], 3))
     object.__setattr__(odd, "generators", None)
-    with pytest.raises(InternalParity):
+    with pytest.raises(NotAntisymmetric):
         clique_number(odd)
 
 

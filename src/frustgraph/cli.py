@@ -43,9 +43,10 @@ from .errors import (
     FrustGraphError,
     InvalidMode,
     ParseError,
+    TooLarge,
 )
 from .gf import check_modulus
-from .group import VERTEX_CAP, GroupSpec, commutation_graph
+from .group import GroupSpec, commutation_graph
 from .group import clique_number, sos_bound, sum_bound
 from .oracle import (
     BOUND_TOLERANCE,
@@ -298,14 +299,12 @@ def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
         "sos_bound": sos_bound(spec),
         "sum_bound": real_str(sum_bound(spec)) if spec.d != 2 else None,
     }
-    if spec.n_elements <= VERTEX_CAP:
+    try:
         graph = commutation_graph(spec)
-        result["graph"] = {
-            "vertices": graph.n_vertices,
-            "edges": graph.edge_count,
-        }
-    else:
+    except TooLarge:  # past limits.VERTEX_CAP the report leaves the graph out
         result["graph"] = None
+    else:
+        result["graph"] = {"vertices": graph.n_vertices, "edges": graph.edge_count}
     return Report("analyze", doc.digest, result)
 
 
@@ -392,13 +391,14 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 _check_entry("theta", abs(total - want), BOUND_TOLERANCE, d=d_abstract)
             )
         elif name in ("sos", "sum"):
+            # deviations relative to the bound, which grows as d^k
             spec = doc.spec
             if name == "sos":
                 bound, got = float(sos_bound(spec)), max_sos(spec, cfg)
-                deviation = abs(got - bound)
+                deviation = abs(got - bound) / bound
             else:  # the sum bound is an upper bound only
                 bound, got = sum_bound(spec), max_sum_eigenvalue(spec)
-                deviation = max(0.0, got - bound)
+                deviation = max(0.0, got - bound) / bound
             entries.append(_check_entry(name, deviation, BOUND_TOLERANCE,
                                         value=real_str(got), bound=real_str(bound)))
         elif name == "overlap":

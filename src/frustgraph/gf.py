@@ -144,6 +144,13 @@ class GFMatrix:
             self.entries = reduce_mod(arr, self.d)
 
     @classmethod
+    def _trusted(cls, entries: np.ndarray, d: int) -> "GFMatrix":
+        """Residues in [0, d) of ``exact_dtype(d)``, d prime: no check, copy or reduction."""
+        out = object.__new__(cls)
+        out.entries, out.d = entries, d
+        return out
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, d: int) -> "GFMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), d)
 
@@ -165,7 +172,7 @@ class GFMatrix:
 
     @property
     def T(self) -> "GFMatrix":
-        return GFMatrix(self.entries.T, self.d)
+        return GFMatrix._trusted(self.entries.T, self.d)
 
     def to_lists(self) -> list[list[int]]:
         return self.entries.tolist()
@@ -177,7 +184,8 @@ class GFMatrix:
             raise DimensionMismatch(f"moduli differ: {self.d} vs {other.d}")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        return GFMatrix(matmul_mod(self.entries, other.entries, self.d), self.d)
+        product = matmul_mod(self.entries, other.entries, self.d)
+        return GFMatrix._trusted(product.astype(exact_dtype(self.d), copy=False), self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GFMatrix):

@@ -1,18 +1,20 @@
 """Groups of omega-commuting unitaries described by their generating graph.
 
 A group element is indexed by an exponent vector I over Z_d, standing for
-the ordered product of generators T_1^{I_1} ... T_k^{I_k}, all of which
-``GroupSpec.elements`` holds as arrays from ``pauli.ordered_products``.  The pairwise
-commutation data of the generators, an antisymmetric adjacency matrix
-gamma with [T_i, T_j] = omega^{gamma_ij} 1 as a group commutator, fixes
-the commutation phase of every pair of elements through the bilinear form
+the ordered product of generators T_1^{I_1} ... T_k^{I_k}, multiplied out
+by ``pauli.ordered_products`` where a routine needs it; no spec holds its
+d^k elements.  The pairwise commutation data of the generators, an
+antisymmetric adjacency matrix gamma with [T_i, T_j] = omega^{gamma_ij} 1
+as a group commutator, fixes the commutation phase of every pair of
+elements through the bilinear form
 
     Gamma(I, J) = sum_ij I_i J_j gamma_ij  mod d.
 
 Bounds that depend only on gamma (clique number of the commutation graph,
 sum-of-squares bound, energy bound for odd d) are computed in exact
 integer arithmetic, form values as plain ints in [0, d); the brute-force
-clique and coloring searches here are the independent cross-checks.
+clique and coloring searches here are the independent cross-checks, refused
+past the vertex caps of ``limits``.
 """
 
 from __future__ import annotations
@@ -24,19 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EvenDimension,
-    GammaMismatch,
-    PhaseViolation,
-    TooLarge,
-)
+from .errors import DimensionMismatch, EvenDimension, GammaMismatch, PhaseViolation
 from .gf import GFMatrix, check_modulus, matmul_mod, nullspace_basis
+from .limits import COLORING_VERTEX_CAP, VERTEX_CAP, check_size
 from .pauli import PauliOperator, commutator_matrix, exponent_tableau, ordered_products
 from .symplectic import CanonicalForm, canonical_form, check_antisymmetric
-
-VERTEX_CAP = 256  # commutation graphs and their clique search
-COLORING_VERTEX_CAP = 64
 
 Index = tuple[int, ...]
 
@@ -58,8 +52,8 @@ class GroupSpec:
     the dense oracle routines.  Given generators, gamma may be None: it is
     then derived from them, as ``from_generators`` does, and otherwise
     checked against them.  ``normal_form``, the certified symplectic normal
-    form of gamma, and ``elements`` are computed once; every closed form
-    reads the rank of gamma off the normal form, as twice its pair count.
+    form of gamma, is computed once; every closed form reads the rank of
+    gamma off it, as twice its pair count.
     """
 
     d: int
@@ -129,15 +123,6 @@ class GroupSpec:
         """rank(gamma) = 2m, certified by O^T gamma O = m pair blocks, O invertible."""
         return 2 * self.normal_form.m
 
-    @functools.cached_property
-    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, B, phase units) of all d^k elements, in element_indices order."""
-        if self.generators is None:
-            raise ValueError("concrete generators are required")
-        if not self.generators:  # the trivial group: the identity on no sites
-            return np.zeros((1, 0), int), np.zeros((1, 0), int), np.zeros(1, int)
-        return ordered_products(self.generators, element_indices(self.d, self.k))
-
 
 def frustration_exponent(I, J, gamma: GFMatrix) -> int:
     """Bilinear form value Gamma(I, J) = I . gamma . J mod d, in Python ints."""
@@ -183,9 +168,7 @@ class CommutationGraph:
 
 def commutation_graph(spec: GroupSpec) -> CommutationGraph:
     """Graph on all d^k element indices; edges where the form vanishes."""
-    n = spec.n_elements
-    if n > VERTEX_CAP:
-        raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+    n = check_size(spec.n_elements, VERTEX_CAP, "vertices")
     labels = element_indices(spec.d, spec.k)
     V = np.array(labels, dtype=np.int64).reshape(n, spec.k)
     d = spec.d
@@ -229,9 +212,7 @@ def clique_number_bruteforce(graph: CommutationGraph) -> int:
     color classes are bitboards (BBMC, San Segundo et al. 2011); the
     classes a node cannot use are removed without being listed.
     """
-    n = graph.n_vertices
-    if n > VERTEX_CAP:
-        raise TooLarge(f"{n} vertices exceed the cap of {VERTEX_CAP}")
+    n = check_size(graph.n_vertices, VERTEX_CAP, "vertices")
     adj = graph.adjacency
     others = _non_neighbours(adj)
     best = 0
@@ -292,9 +273,7 @@ def chromatic_number_exact(graph: CommutationGraph) -> int:
     The clique number bounds it below and the greedy coloring of
     ``_color_classes`` above, so only the counts in between are searched.
     """
-    n = graph.n_vertices
-    if n > COLORING_VERTEX_CAP:
-        raise TooLarge(f"{n} vertices exceed the cap of {COLORING_VERTEX_CAP}")
+    n = check_size(graph.n_vertices, COLORING_VERTEX_CAP, "vertices of the coloring search")
     if n == 0:
         return 0
     adj = graph.adjacency
@@ -365,9 +344,14 @@ def concrete_elements(spec: GroupSpec) -> list[tuple[Index, PauliOperator]]:
     """All d^k elements as ordered generator products, phases exact.
 
     Element I is T_1^{I_1} * ... * T_k^{I_k} with ascending generator
-    index, read from ``spec.elements``; for odd d they have d-th power one.
+    index, multiplied out by ``ordered_products``; for odd d they have d-th
+    power one.
     """
-    A, B, units = spec.elements
+    if spec.generators is None:
+        raise ValueError("concrete generators are required")
+    if not spec.generators:  # the trivial group: the identity on no sites
+        return [((), PauliOperator(spec.d, (), ()))]
+    A, B, units = ordered_products(spec.generators, element_indices(spec.d, spec.k))
     return [
         (I, PauliOperator(spec.d, tuple(a), tuple(b), u))
         for I, a, b, u in zip(element_indices(spec.d, spec.k), A, B, units)

@@ -19,13 +19,15 @@ The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
 basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
 plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
 is the one place that turns exponent arrays into idx and exact phases,
-for many operators at once.  ``max_sos`` applies every row of
-``GroupSpec.elements`` that way; ``dense_pauli`` scatters one operator's
-row.  ``_power_tables`` holds every power g^s of a list of operators.
-``max_sos`` refines a single vector into its commuting witness through
-them, and ``_group_sum`` forms every group sum from them: the sum over
-all d^k ordered products T_1^I_1 ... T_k^I_k is the product of the k
-factors sum_s T_i^s, each d gathers.  ``stabilizer_projector`` applies
+for many operators at once.  ``max_sos`` applies that way the d^r
+products of the r independent generators, one per Pauli part of the
+group, each weighed by the d^(k-r) elements that share it;
+``dense_pauli`` scatters one operator's row.  ``_power_tables`` holds
+every power g^s of a list of operators.  ``max_sos`` refines a single
+vector into its commuting witness through them, and ``_group_sum`` forms
+every group sum from them: the sum over all d^k ordered products
+T_1^I_1 ... T_k^I_k is the product of the k factors sum_s T_i^s, each d
+gathers.  ``stabilizer_projector`` applies
 it to the identity; ``max_sum_eigenvalue`` applies it to one identity
 column per place in a coset of the span of the X parts, which gives the
 diagonal coset blocks as one stack; ``max_product_overlaps`` runs
@@ -39,8 +41,9 @@ is at most the number of elements, and P <= I, so no product overlap
 exceeds 1.  A restart within ``tol`` of its cap stops, and the restarts
 after it (for an overlap, the later restart blocks of that cut) are
 skipped.  No closed form enters the stop, so a wrong one still shows up
-as a mismatch.  Random restarts use a counter-based Philox
-generator, so every optimizer run is reproducible from its seed.
+as a mismatch.  Random restarts use a counter-based Philox generator,
+so every optimizer run is reproducible from its seed.  Every size cap
+comes from ``limits``.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSubset, EvenDimension, InvalidOption, TooLarge
-from .gf import check_modulus
-from .group import GroupSpec
+from .errors import BadSubset, EvenDimension, InvalidOption
+from .gf import GFMatrix, _row_echelon, check_modulus
+from .group import GroupSpec, element_indices
+from .limits import DENSE_DIM_CAP, ENERGY_DIM_CAP, OVERLAP_DIM_CAP, SWAP_D_CAP, check_size
 from .pauli import (
     PauliOperator,
     SiteSubset,
@@ -63,10 +67,6 @@ from .pauli import (
 )
 from .stabilizer import Stabilizer
 
-DENSE_DIM_CAP = 4096
-ENERGY_DIM_CAP = 1024
-OVERLAP_DIM_CAP = 1024
-SWAP_D_CAP = 11
 # complex entries one chunk of the stacked overlap ascent may allocate
 _OVERLAP_ENTRIES = 2 ** 16
 
@@ -106,9 +106,7 @@ class OptimizerConfig:
 
 def dense_pauli(op: PauliOperator) -> np.ndarray:
     """Exact tensor-product matrix of a symbolic operator, phase included."""
-    dim = op.d ** op.n_sites
-    if dim > DENSE_DIM_CAP:
-        raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
+    dim = check_size(op.d ** op.n_sites, DENSE_DIM_CAP, "basis states")
     idx, ph = _action_tables(*exponent_tableau([op]), [op.phase_exp], op.d)
     out = np.zeros((dim, dim), dtype=np.complex128)
     out[np.arange(dim), idx[0]] = ph[0]
@@ -129,9 +127,7 @@ def verify_swap_identity(d: int) -> float:
     """Max entrywise deviation of the Weyl sum (1/d) sum X^i Z^j (x) (X^i Z^j)^dagger
     from the two-qudit swap; exact up to rounding, so the result should be
     below SWAP_TOLERANCE."""
-    d = check_modulus(d)
-    if d > SWAP_D_CAP:
-        raise TooLarge(f"d = {d} exceeds the swap-check cap of {SWAP_D_CAP}")
+    d = check_size(check_modulus(d), SWAP_D_CAP, "levels per site of the swap check")
     acc = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         for j in range(d):
@@ -234,29 +230,34 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     exact value at a joint eigenvector of a maximal commuting subgroup.
     Route (b) attains the clique-number bound, so the result equals it up
     to rounding; route (a) is the independent heuristic check from below.
-    Every element acts through its action table: one gather gives all
-    A psi, from which the expectations, the value and the next iterate
-    follow.  Every |<A>| <= 1, so no state beats the element count: a
-    restart stops once its value moves less than ``cfg.tol`` or comes
-    within ``cfg.tol`` of that cap, and one at the cap ends the run.
+    A phase never changes |<A>|, and d^(k-r) elements share each Pauli part,
+    so only the d^r products of the r independent generators (the pivots of
+    eliminating [A | B]^T) act, through tables refused past d^r d^n =
+    DENSE_DIM_CAP^2 entries; the value is d^(k-r) times theirs, the
+    fixed-point step the same direction.  No state beats the element count
+    d^k, as |<A>| <= 1: a restart stops once its value moves less than
+    ``cfg.tol`` or comes within it of that cap, and one at the cap ends the run.
     """
     cfg = cfg or OptimizerConfig()
     if spec.generators is None:
         raise ValueError("max_sos needs concrete generators")
-    if spec.k == 0:
-        return 1.0  # only the identity element; <1> = 1 in any state
-    n = spec.generators[0].n_sites
-    dim = spec.d ** n
-    if dim > DENSE_DIM_CAP:
-        raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
-    idx, ph = _action_tables(*spec.elements, spec.d)
+    d, gens = spec.d, spec.generators
+    pivots = _row_echelon(GFMatrix(np.hstack(exponent_tableau(gens)).T, d))[1] if gens else []
+    if not pivots:  # every element is a phase times 1, and <1> = 1 in any state
+        return float(spec.n_elements)
+    dim = check_size(d ** gens[0].n_sites, DENSE_DIM_CAP, "basis states")
+    r = len(pivots)
+    check_size(d ** r * dim, DENSE_DIM_CAP ** 2, "action-table entries")
+    span = [gens[i] for i in pivots]
+    idx, ph = _action_tables(*ordered_products(span, element_indices(d, r)), d)
+    weight = d ** (spec.k - r)  # elements per Pauli part
     at_cap = spec.n_elements - cfg.tol  # a value this high certifies the maximum
 
     def evaluate(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Rows A psi, expectations <psi|A|psi> and their sum of squares."""
+        """Rows A psi, expectations <psi|A|psi> and the weighted sum of squares."""
         applied = ph * psi[idx]
         ev = applied @ psi.conj()
-        return applied, ev, float(np.sum(np.abs(ev) ** 2))
+        return applied, ev, weight * float(np.sum(np.abs(ev) ** 2))
 
     rng = cfg.rng()
     best = 0.0
@@ -299,9 +300,8 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     if spec.k == 0:
         return 2.0
     d = spec.d
-    dim = d ** spec.generators[0].n_sites
-    if dim > ENERGY_DIM_CAP:
-        raise TooLarge(f"dense dimension {dim} exceeds {ENERGY_DIM_CAP}")
+    dim = check_size(d ** spec.generators[0].n_sites, ENERGY_DIM_CAP,
+                     "basis states of the energy check")
     tables = _power_tables(spec.generators, d)
     label = np.arange(dim)
     for shifts in tables[0]:  # [s] gathers x - s a
@@ -317,9 +317,7 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
 def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
     """Dense projector onto the stabilized subspace, ``_group_sum`` of the identity over d^k."""
     stab.validate()
-    dim = stab.d ** stab.n_sites
-    if dim > DENSE_DIM_CAP:
-        raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
+    dim = check_size(stab.d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
     tables = _power_tables(stab.generators, stab.d)
     proj = _group_sum(tables, np.eye(dim, dtype=np.complex128)) / stab.d ** stab.k
     if np.max(np.abs(proj - proj.conj().T)) > HERMITICITY_TOLERANCE:
@@ -340,9 +338,8 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
     stab.validate()
     if stab._code_basis is None:
         d = stab.d
-        dim, want = d ** stab.n_sites, d ** (stab.n_sites - stab.k)
-        if dim > DENSE_DIM_CAP:
-            raise TooLarge(f"dense dimension {dim} exceeds {DENSE_DIM_CAP}")
+        dim = check_size(d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
+        want = d ** (stab.n_sites - stab.k)
         tables = _power_tables(stab.generators, d)
 
         def project(cols: np.ndarray) -> np.ndarray:
@@ -428,9 +425,7 @@ def max_product_overlaps(
     cfg = cfg or OptimizerConfig()
     stab.validate()
     d, n = stab.d, stab.n_sites
-    dim = d ** n
-    if dim > OVERLAP_DIM_CAP:
-        raise TooLarge(f"dense dimension {dim} exceeds {OVERLAP_DIM_CAP}")
+    dim = check_size(d ** n, OVERLAP_DIM_CAP, "basis states of the overlap check")
     for subset in subsets:
         if subset.n_sites != n:
             raise BadSubset(f"subset is over {subset.n_sites} sites, need {n}")

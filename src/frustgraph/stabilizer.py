@@ -51,6 +51,7 @@ from .errors import (
     UnknownCode,
 )
 from .gf import GFMatrix, alternating_ranks, block_dtype, nullspace_basis, rank, reduce_mod
+from .limits import DEFAULT_BIPARTITION_CAP, check_size
 from .pauli import (
     PauliOperator,
     SiteSubset,
@@ -59,14 +60,9 @@ from .pauli import (
     ordered_products,
 )
 
-DEFAULT_BIPARTITION_CAP = 2 ** 15 - 1  # handles n_sites up to 16
 # cuts per batched step of the scan in int16, fewer in wider dtypes: its
 # temporaries stay at 2 SCAN_BLOCK k^2 bytes whatever the number of cuts
 SCAN_BLOCK = 1024
-
-
-def _cut_count(n_sites: int) -> int:
-    return (1 << (n_sites - 1)) - 1
 
 
 def _cut_sites(n_sites: int) -> list[list[int]]:
@@ -84,13 +80,11 @@ def _cut_sites(n_sites: int) -> list[list[int]]:
 def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
     """All 2^(n-1) - 1 bipartition halves Q, with site 1 always in Q.
 
-    Enumeration order is fixed (binary counting over sites 2..n), so any
-    scan over bipartitions is reproducible.
+    Enumeration order is fixed (binary counting over sites 2..n, as
+    ``_cut_sites`` lists them), so any scan over bipartitions is
+    reproducible.
     """
-    for mask in range(_cut_count(n_sites)):
-        # site 1, plus site i + 2 for bit i of the mask
-        picked = [1] + [i + 2 for i in range(n_sites - 1) if (mask >> i) & 1]
-        yield SiteSubset(tuple(picked), n_sites)
+    return (SiteSubset(tuple(q), n_sites) for q in _cut_sites(n_sites))
 
 
 class Stabilizer:
@@ -180,11 +174,8 @@ class Stabilizer:
     def bipartition_reports(self) -> "BipartitionScan":
         """Every bipartition's rank and measure, in ``bipartitions`` order."""
         self.validate()
-        count = _cut_count(self.n_sites)
-        if count > DEFAULT_BIPARTITION_CAP:
-            raise TooManyBipartitions(
-                f"{count} bipartitions exceed the cap of {DEFAULT_BIPARTITION_CAP}"
-            )
+        count = check_size((1 << (self.n_sites - 1)) - 1, DEFAULT_BIPARTITION_CAP,
+                           "bipartitions", TooManyBipartitions)
         d, n, k = self.d, self.n_sites, self.k
         # gamma_Q is the sum over s in Q of the per-site forms gamma_s
         per_site = commutator_matrix(self._A.T[:, :, None], self._B.T[:, :, None], d)

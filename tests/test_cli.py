@@ -9,6 +9,8 @@ import random
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -422,6 +424,47 @@ def test_verify_sum_reports_the_found_value(text, code, value, tmp_path, capsys)
     (entry,) = json.loads(capsys.readouterr().out)["result"]["checks"]
     assert entry["name"] == "sum" and entry["value"] == value
     assert entry["pass"] is (code == 0)
+
+
+X16_TEXT = "d=3 n=1 mode=group\n" + "".join(f"g{i}: X\n" for i in range(1, 17))
+XZ14_TEXT = "d=3 n=2 mode=group\n" + "".join(f"g{i}: X Z\n" for i in range(1, 15))
+# X on each of 12 qubits and Z on the first: 13 independent generators,
+# whose 2^13 products on 2^12 states are twice the DENSE_DIM_CAP^2 table
+INDEPENDENT13_TEXT = "d=2 n=12 mode=group\n" + "".join(
+    f"g{i + 1}: " + " ".join("X" if j == i else "I" for j in range(12)) + "\n" for i in range(12)
+) + "g13: Z" + " I" * 11 + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,sos,total",
+    [(X16_TEXT, 3 ** 16, 2 * 3 ** 16), (XZ14_TEXT, 3 ** 14, 2 * 3 ** 14)],
+    ids=["16-x", "14-xz"],
+)
+def test_verify_of_dependent_generators_reads_only_their_span(text, sos, total, tmp_path, capsys):
+    # 3^16 and 3^14 elements, but a span of 3 and of 3 Pauli parts
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5
+    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert [(c["name"], c["bound"], c["pass"]) for c in checks] == [
+        ("sos", real_str(sos), True), ("sum", real_str(total), True)
+    ]
+
+
+def test_verify_refuses_a_span_past_the_table_cap(tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(INDEPENDENT13_TEXT)
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(path)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == "error[too-large]: 33554432 action-table entries exceed the cap of 16777216\n"
+    assert peak < 2 ** 20  # refused before any table or state vector
 
 
 @pytest.mark.parametrize("command", ["analyze", "canonical", "entanglement"])

@@ -395,6 +395,35 @@ def test_matrix_free_routes_agree_with_dense_on_graph_codes(seed):
     assert_routes_agree(graph_code(d, n, int(rng.integers(1, n)), rng))
 
 
+@st.composite
+def dependent_generators(draw):
+    """Products of a few base operators with extra phases: repeats and dependencies, d^k <= 81."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(1, {2: 6, 3: 4, 5: 2}[d]))
+    base = draw(st.lists(operators(d, n), min_size=1, max_size=k))
+    exponents = st.lists(st.integers(0, d - 1), min_size=len(base), max_size=len(base))
+    gens = []
+    for _ in range(k):
+        op = pauli.ordered_product(base, draw(exponents)).canonical_unit_phase()
+        phase = op.phase_exp + pauli.omega_units(d, draw(st.integers(0, d - 1)))
+        gens.append(PauliOperator(d, op.a, op.b, phase))
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=dependent_generators())
+@example(gens=[PauliOperator(3, (0,), (0,), 1), PauliOperator(3, (0,), (0,), 2)])  # r = 0
+@example(gens=[PauliOperator(2, (0, 0), (0, 0), 2)] * 3)  # -1, three times: r = 0
+@example(gens=[PauliOperator(5, (1,), (0,)), PauliOperator(5, (2,), (0,), 3)])
+@example(gens=[PauliOperator(2, (1,), (0,)), PauliOperator(2, (0,), (1,))] * 3)
+def test_sos_of_dependent_generators_is_the_full_element_sum(gens):
+    # max_sos multiplies out the d^r products of the independent generators
+    # and weighs them by d^(k-r); the reference sums all d^k elements
+    spec = GroupSpec.from_generators(gens)
+    assert max_sos(spec, CFG) == pytest.approx(denseref.max_sos(spec, CFG), rel=TIGHT, abs=0)
+
+
 def witness_spec(name: str, d: int, n: int) -> GroupSpec:
     if name == "scalar":  # XZ and X^(d-1) Z^(d-1) commute; their product is a scalar
         gens = [PauliOperator(d, (1,), (1,)), PauliOperator(d, (d - 1,), (d - 1,))]
@@ -465,11 +494,16 @@ def test_group_is_multiplied_out_once_per_spec(monkeypatch):
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "ordered_products", counted)
     assert {"frustgraph.group", "frustgraph.oracle"} <= set(patched)
-    spec = GroupSpec.from_generators(builtin_code("five_qudit", 3, 5).generators)
-    max_sos(spec, CFG)
-    max_sum_eigenvalue(spec)
-    # the witness multiplies out a few subgroup generators and their powers
-    assert rows.count(spec.n_elements) == 1 and max(rows) == spec.n_elements == 81
+    gens = builtin_code("five_qudit", 3, 5).generators
+    products = tuple(pauli.ordered_product(gens, e) for e in [(1, 2, 0, 1), (0, 0, 2, 2)])
+    # with two products of the generators, 3^2 elements share each Pauli part
+    for spec in GroupSpec.from_generators(gens), GroupSpec.from_generators(gens + products):
+        rows.clear()
+        max_sos(spec, CFG)
+        max_sum_eigenvalue(spec)
+        # the span's 3^4 products once; the witness and the power tables fewer
+        assert rows.count(81) == 1 and max(rows) == 81
+    assert spec.n_elements == 729
 
 
 def test_dense_routes_multiply_no_operators(monkeypatch):
@@ -573,7 +607,6 @@ def test_energy_blocks_stay_within_the_power_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "elements" not in spec.__dict__  # the d^k elements were never built
     assert peak < 32 * tables + 7 * stack
 
 

@@ -69,6 +69,7 @@ from .oracle import (
     max_sos,
     max_sum_eigenvalue,
     stabilizer_projector,
+    theta_energy,
     theta_state,
     verify_swap_identity,
 )
@@ -132,6 +133,7 @@ __all__ = [
     "stabilizer_projector",
     "sum_bound",
     "tensor",
+    "theta_energy",
     "theta_state",
     "verify_swap_identity",
 ]

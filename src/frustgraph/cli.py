@@ -54,16 +54,15 @@ from .oracle import (
     OVERLAP_TOLERANCE,
     SWAP_TOLERANCE,
     OptimizerConfig,
-    dense_pauli,
     lagrange_extremum,
     max_product_overlaps,
     max_sos,
     max_sum_eigenvalue,
-    theta_state,
+    theta_energy,
     verify_swap_identity,
 )
 from .pauli import PauliOperator, omega_units
-from .stabilizer import Stabilizer, builtin_code, ggm_from_reports, gme_from_reports
+from .stabilizer import Stabilizer, builtin_code
 
 REPORT_SCHEMA = "frustgraph-report/1"
 
@@ -334,8 +333,8 @@ def _run_entanglement(doc: InputDocument, flags: CommandFlags) -> Report:
         "d": stab.d,
         "n_sites": stab.n_sites,
         "k": stab.k,
-        "is_gme": gme_from_reports(scan),
-        "ggm": rational_dict(ggm_from_reports(scan, stab.d)),
+        "is_gme": scan.is_gme,
+        "ggm": rational_dict(scan.ggm),
         "bipartitions": [
             {"Q": q, "rank": r, "gm": gm[r]} for q, r in zip(scan.sites, scan.ranks)
         ],
@@ -374,22 +373,13 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 _check_entry("swap", verify_swap_identity(d_abstract), SWAP_TOLERANCE, d=d_abstract)
             )
         elif name == "lagrange":
-            got = lagrange_extremum(d_abstract)
             want = (1 + 1 / np.sqrt(d_abstract)) / 2
-            entries.append(
-                _check_entry("lagrange", abs(got - want), LAGRANGE_TOLERANCE, d=d_abstract)
-            )
+            entries.append(_check_entry("lagrange", abs(lagrange_extremum(d_abstract) - want),
+                                        LAGRANGE_TOLERANCE, d=d_abstract))
         elif name == "theta":
-            vec = theta_state(d_abstract)
-            total = 0.0
-            for i in range(d_abstract):
-                for j in range(d_abstract):
-                    op = PauliOperator(d_abstract, (i,), (j,))
-                    total += np.real(np.vdot(vec, dense_pauli(op) @ vec))
             want = d_abstract * (1 + np.sqrt(d_abstract)) / 2
-            entries.append(
-                _check_entry("theta", abs(total - want), BOUND_TOLERANCE, d=d_abstract)
-            )
+            entries.append(_check_entry("theta", abs(theta_energy(d_abstract) - want),
+                                        BOUND_TOLERANCE, d=d_abstract))
         elif name in ("sos", "sum"):
             # deviations relative to the bound, which grows as d^k
             spec = doc.spec

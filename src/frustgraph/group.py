@@ -3,10 +3,12 @@
 A group element is indexed by an exponent vector I over Z_d, standing for
 the ordered product of generators T_1^{I_1} ... T_k^{I_k}, multiplied out
 by ``pauli.ordered_products`` where a routine needs it; no spec holds its
-d^k elements.  The pairwise commutation data of the generators, an
-antisymmetric adjacency matrix gamma with [T_i, T_j] = omega^{gamma_ij} 1
-as a group commutator, fixes the commutation phase of every pair of
-elements through the bilinear form
+d^k elements.  ``element_indices`` is the one enumeration of the vectors,
+a (d^k, k) array that each caller first sizes against a cap of ``limits``.
+The pairwise commutation data of the generators, an antisymmetric
+adjacency matrix gamma with [T_i, T_j] = omega^{gamma_ij} 1 as a group
+commutator, fixes the commutation phase of every pair of elements
+through the bilinear form
 
     Gamma(I, J) = sum_ij I_i J_j gamma_ij  mod d.
 
@@ -20,7 +22,6 @@ past the vertex caps of ``limits``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,9 +136,9 @@ def frustration_exponent(I, J, gamma: GFMatrix) -> int:
     return int(Iv @ gamma.entries.astype(object) @ Jv) % gamma.d
 
 
-def element_indices(d: int, k: int) -> list[Index]:
-    """All d^k exponent vectors in lexicographic order."""
-    return list(itertools.product(range(d), repeat=k))
+def element_indices(d: int, k: int) -> np.ndarray:
+    """All d^k exponent vectors as the rows of a (d^k, k) int64 array, in lexicographic order."""
+    return np.indices((d,) * k, dtype=np.int64).reshape(k, d ** k).T
 
 
 @dataclass(frozen=True)
@@ -168,32 +169,28 @@ class CommutationGraph:
 
 def commutation_graph(spec: GroupSpec) -> CommutationGraph:
     """Graph on all d^k element indices; edges where the form vanishes."""
-    n = check_size(spec.n_elements, VERTEX_CAP, "vertices")
-    labels = element_indices(spec.d, spec.k)
-    V = np.array(labels, dtype=np.int64).reshape(n, spec.k)
+    check_size(spec.n_elements, VERTEX_CAP, "vertices")
+    V = element_indices(spec.d, spec.k)
     d = spec.d
     edges = matmul_mod(matmul_mod(V, spec.gamma.entries, d), V.T, d) == 0
     np.fill_diagonal(edges, False)
     rows = np.packbits(edges, axis=1, bitorder="little")
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return CommutationGraph(tuple(labels), masks)
+    return CommutationGraph(tuple(map(tuple, V.tolist())), masks)
 
 
 def central_subgroup_indices(spec: GroupSpec) -> list[Index]:
     """Indices of the elements commuting with the whole group.
 
     These are exactly the kernel vectors of gamma, enumerated as all
-    Z_d combinations of the kernel basis; the count is d^nullity.
+    Z_d combinations of the kernel basis; the count is d^nullity, refused
+    past ``VERTEX_CAP`` as they are vertices of the commutation graph.
     """
     basis = nullspace_basis(spec.gamma)
-    d, k = spec.d, spec.k
-    out: list[Index] = []
-    for coeffs in itertools.product(range(d), repeat=len(basis)):
-        v = np.zeros(k, dtype=np.int64)
-        for c, vec in zip(coeffs, basis):
-            v = (v + c * vec) % d
-        out.append(tuple(int(x) for x in v))
-    return out
+    check_size(spec.d ** len(basis), VERTEX_CAP, "central elements")
+    coeffs = element_indices(spec.d, len(basis))
+    basis = np.array(basis, dtype=object).reshape(len(basis), spec.k)
+    return list(map(tuple, matmul_mod(coeffs, basis, spec.d).tolist()))
 
 
 def clique_number(spec: GroupSpec) -> int:
@@ -345,14 +342,16 @@ def concrete_elements(spec: GroupSpec) -> list[tuple[Index, PauliOperator]]:
 
     Element I is T_1^{I_1} * ... * T_k^{I_k} with ascending generator
     index, multiplied out by ``ordered_products``; for odd d they have d-th
-    power one.
+    power one.  Refused past ``VERTEX_CAP`` elements.
     """
     if spec.generators is None:
         raise ValueError("concrete generators are required")
+    check_size(spec.n_elements, VERTEX_CAP, "group elements")
     if not spec.generators:  # the trivial group: the identity on no sites
         return [((), PauliOperator(spec.d, (), ()))]
-    A, B, units = ordered_products(spec.generators, element_indices(spec.d, spec.k))
+    indices = element_indices(spec.d, spec.k)
+    A, B, units = ordered_products(spec.generators, indices)
     return [
-        (I, PauliOperator(spec.d, tuple(a), tuple(b), u))
-        for I, a, b, u in zip(element_indices(spec.d, spec.k), A, B, units)
+        (tuple(I), PauliOperator(spec.d, tuple(a), tuple(b), u))
+        for I, a, b, u in zip(indices.tolist(), A, B, units)
     ]

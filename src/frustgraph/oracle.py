@@ -14,6 +14,7 @@ from explicit complex vectors and matrices:
 * ``max_product_overlaps``  the same ascent for many cuts, stacked per cut size
 * ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2, an eigenvalue
 * ``theta_state``       the single-site state saturating the energy bound
+* ``theta_energy``      its Weyl sum sum_ij <X^i Z^j>, the bound it attains
 
 The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
 basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
@@ -28,7 +29,8 @@ vector into its commuting witness through them, and ``_group_sum`` forms
 every group sum from them: the sum over all d^k ordered products
 T_1^I_1 ... T_k^I_k is the product of the k factors sum_s T_i^s, each d
 gathers.  ``stabilizer_projector`` applies
-it to the identity; ``max_sum_eigenvalue`` applies it to one identity
+it to the identity, ``theta_energy`` to the theta state over the powers
+of X and Z; ``max_sum_eigenvalue`` applies it to one identity
 column per place in a coset of the span of the X parts, which gives the
 diagonal coset blocks as one stack; ``max_product_overlaps`` runs
 stacked cuts and restarts on an orthonormal basis of the code space,
@@ -514,13 +516,12 @@ def lagrange_extremum(d: int) -> float:
     Q = (e_0 1^T + 1 e_0^T) / 2; the top eigenvector of Q is nonnegative, so
     the maximum is its top eigenvalue over sqrt(d), (1 + 1/sqrt(d))/2.
     """
-    d = check_modulus(d)
+    d = check_size(check_modulus(d), DENSE_DIM_CAP, "levels per site of the lagrange check")
     if d == 2:
         raise EvenDimension("the extremum is used for odd d only")
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    ones = np.ones(d)
-    quad = (np.outer(e0, ones) + np.outer(ones, e0)) / 2
+    quad = np.zeros((d, d))
+    quad[0] += 0.5
+    quad[:, 0] += 0.5
     return float(np.linalg.eigvalsh(quad)[-1] / math.sqrt(d))
 
 
@@ -530,8 +531,9 @@ def theta_state(d: int) -> np.ndarray:
     Coefficient sqrt((1 + sqrt(d)) / (2 sqrt(d))) on the first basis
     state and 1/sqrt(2 sqrt(d) (1 + sqrt(d))) on each of the others; the
     full Weyl sum sum_ij <X^i Z^j> evaluates to (d/2)(1 + sqrt(d)) on it.
+    Refused past ``ENERGY_DIM_CAP`` levels, as its energy check is.
     """
-    d = check_modulus(d)
+    d = check_size(check_modulus(d), ENERGY_DIM_CAP, "levels per site of the theta check")
     if d == 2:
         raise EvenDimension("the saturating state exists for odd d only")
     root = math.sqrt(d)
@@ -540,3 +542,10 @@ def theta_state(d: int) -> np.ndarray:
     if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
         raise RuntimeError("saturating state failed its normalisation check")
     return vec
+
+
+def theta_energy(d: int) -> float:
+    """The Weyl sum sum_ij <X^i Z^j> at ``theta_state(d)``, by ``_group_sum`` over X and Z."""
+    vec = theta_state(d)
+    tables = _power_tables([PauliOperator.x(d), PauliOperator.z(d)], d)
+    return float(np.vdot(vec, _group_sum(tables, vec)).real)

@@ -82,9 +82,16 @@ def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
 
     Enumeration order is fixed (binary counting over sites 2..n, as
     ``_cut_sites`` lists them), so any scan over bipartitions is
-    reproducible.
+    reproducible.  Refused past ``DEFAULT_BIPARTITION_CAP`` cuts before
+    any is listed.
     """
+    _check_cuts(n_sites)
     return (SiteSubset(tuple(q), n_sites) for q in _cut_sites(n_sites))
+
+
+def _check_cuts(n_sites: int) -> int:
+    return check_size((1 << (n_sites - 1)) - 1, DEFAULT_BIPARTITION_CAP,
+                      "bipartitions", TooManyBipartitions)
 
 
 class Stabilizer:
@@ -158,13 +165,8 @@ class Stabilizer:
         )
 
     def is_gme(self) -> bool:
-        """Whether the stabilized subspace is genuinely multipartite entangled.
-
-        True iff every bipartition has a pair of restricted generators
-        that fail to commute, i.e. no reduced generating graph vanishes.
-        A single site has no bipartitions and is never entangled.
-        """
-        return gme_from_reports(self.bipartition_reports())
+        """Whether the stabilized subspace is genuinely multipartite entangled, by its scan."""
+        return self.bipartition_reports().is_gme
 
     def gm_measure(self, subset: SiteSubset) -> "BipartitionReport":
         """Geometric entanglement of the subspace across one bipartition."""
@@ -174,8 +176,7 @@ class Stabilizer:
     def bipartition_reports(self) -> "BipartitionScan":
         """Every bipartition's rank and measure, in ``bipartitions`` order."""
         self.validate()
-        count = check_size((1 << (self.n_sites - 1)) - 1, DEFAULT_BIPARTITION_CAP,
-                           "bipartitions", TooManyBipartitions)
+        count = _check_cuts(self.n_sites)
         d, n, k = self.d, self.n_sites, self.k
         # gamma_Q is the sum over s in Q of the per-site forms gamma_s
         per_site = commutator_matrix(self._A.T[:, :, None], self._B.T[:, :, None], d)
@@ -189,15 +190,11 @@ class Stabilizer:
             gammas = reduce_mod(np.einsum("cs,sq->cq", sides, per_site), d)
             ranks += alternating_ranks(gammas.reshape(-1, k, k), d).tolist()
         measures = {r: self._measure(r) for r in sorted(set(ranks))}
-        return BipartitionScan(n, ranks, measures)
+        return BipartitionScan(d, n, ranks, measures)
 
     def ggm_measure(self) -> float:
-        """Minimum geometric measure over all bipartitions.
-
-        When the subspace is genuinely multipartite entangled this is
-        exactly (d-1)/d, and that equality is asserted.
-        """
-        return float(ggm_from_reports(self.bipartition_reports(), self.d))
+        """Minimum geometric measure over all bipartitions, by its scan."""
+        return float(self.bipartition_reports().ggm)
 
     def _measure(self, r: int) -> Fraction:
         """Exact measure across a cut whose reduced graph has rank r."""
@@ -221,7 +218,8 @@ class BipartitionScan(Sequence):
     rank that occurs.  Indexing or iterating builds ``BipartitionReport``s.
     """
 
-    def __init__(self, n_sites: int, ranks: list[int], measures: dict[int, Fraction]):
+    def __init__(self, d: int, n_sites: int, ranks: list[int], measures: dict[int, Fraction]):
+        self.d = d
         self.n_sites = n_sites
         self.ranks = ranks
         self.measures = measures
@@ -229,6 +227,27 @@ class BipartitionScan(Sequence):
     @cached_property
     def sites(self) -> list[list[int]]:
         return _cut_sites(self.n_sites)
+
+    @property
+    def is_gme(self) -> bool:
+        """Genuine multipartite entanglement: at least one cut, and no
+        cut whose reduced generating graph vanishes.  A single site has
+        no cut and is never entangled."""
+        return min(self.ranks, default=0) > 0
+
+    @property
+    def ggm(self) -> Fraction:
+        """Exact minimum measure over the cuts, 0 with no cut.
+
+        The measure grows with the rank, so the minimum is the measure of
+        the least rank.  When the scan shows genuine multipartite
+        entanglement it is exactly (d-1)/d, and that equality is asserted.
+        """
+        least = self.measures[min(self.ranks)] if self.ranks else Fraction(0)
+        if self.is_gme and least != Fraction(self.d - 1, self.d):
+            raise RuntimeError(f"entangled subspace has minimum measure {least}, "
+                               f"expected {self.d - 1}/{self.d}")
+        return least
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -239,34 +258,6 @@ class BipartitionScan(Sequence):
         r = self.ranks[i]
         q = SiteSubset(tuple(self.sites[i]), self.n_sites)
         return BipartitionReport(q, r, self.measures[r])
-
-
-def gme_from_reports(scan: BipartitionScan) -> bool:
-    """Genuine multipartite entanglement read off a full bipartition scan.
-
-    True iff there is at least one cut and no cut has a vanishing reduced
-    generating graph.
-    """
-    return min(scan.ranks, default=0) > 0
-
-
-def ggm_from_reports(scan: BipartitionScan, d: int) -> Fraction:
-    """Exact minimum measure over a full bipartition scan, 0 with no cut.
-
-    The measure grows with the rank, so the minimum is the measure of the
-    least rank.  When the scan shows genuine multipartite entanglement it
-    is exactly (d-1)/d, and that equality is asserted.
-    """
-    if not scan.ranks:
-        return Fraction(0)
-    least = scan.measures[min(scan.ranks)]
-    expected = Fraction(d - 1, d)
-    if gme_from_reports(scan) and least != expected:
-        raise RuntimeError(
-            f"entangled subspace has minimum measure {least}, "
-            f"expected {expected}"
-        )
-    return least
 
 
 @dataclass(frozen=True)

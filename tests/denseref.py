@@ -8,9 +8,11 @@ the library's closed-form ``ordered_products``.  The optimisers at the end
 keep the matrix-by-matrix form of the oracle's ``max_sos`` and
 ``max_product_overlap``, the energy maximum on the full d^n x d^n matrix
 rather than its coset blocks, and the overlap ascent one restart at a time
-on an ``eigh`` code basis.  The exact kernels after them are the scalar loops
-that the library's array kernels replaced: the pivoting clique search,
-row-by-row elimination and the vector-by-vector symplectic pass.
+on an ``eigh`` code basis of ``projector``, the sum of the dense element
+matrices, not the oracle's ``_group_sum``.  The exact kernels after them
+are the scalar loops that the library's array kernels replaced: the
+pivoting clique search, row-by-row elimination and the vector-by-vector
+symplectic pass.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from frustgraph import (
     PauliOperator,
     canonical_form,
     element_indices,
-    stabilizer_projector,
 )
 from frustgraph.gf import exact_dtype
 
@@ -191,8 +192,8 @@ def max_product_overlap(stab, subset, cfg) -> float:
 
 
 def code_basis_eigh(stab) -> np.ndarray:
-    """Code basis as the eigenvectors of the dense projector with eigenvalue above 1/2."""
-    vals, vecs = np.linalg.eigh(stabilizer_projector(stab))
+    """Code basis as the eigenvectors of ``projector`` with eigenvalue above 1/2."""
+    vals, vecs = np.linalg.eigh(projector(stab))
     basis = vecs[:, vals > 0.5]
     if basis.shape[1] != stab.d ** (stab.n_sites - stab.k):
         raise RuntimeError(f"code projector has {basis.shape[1]} unit eigenvalues")

@@ -467,6 +467,29 @@ def test_verify_refuses_a_span_past_the_table_cap(tmp_path, capsys):
     assert peak < 2 ** 20  # refused before any table or state vector
 
 
+def test_verify_theta_at_the_largest_prime_its_cap_admits():
+    # d = 1021 <= ENERGY_DIM_CAP: the d^2 Weyl terms as one group sum over X and Z
+    start = time.perf_counter()
+    proc = _run_cli("verify", "--theta", "--d", "1021", "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["result"]["checks"]
+    assert [(c["name"], c["d"], c["pass"]) for c in checks] == [("theta", 1021, True)]
+
+
+@pytest.mark.parametrize("check,d,cap,what", [
+    ("--theta", 1031, 1024, "theta"),
+    ("--lagrange", 1000003, 4096, "lagrange"),  # its d x d form would take 7.28 TiB
+    ("--theta", 1000003, 1024, "theta"),  # past d = 145037 the state fails its norm
+])
+def test_verify_refuses_an_abstract_check_past_its_cap(check, d, cap, what):
+    proc = _run_cli("verify", check, "--d", str(d))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error[too-large]: {d} levels per site of the {what} check exceed the cap of {cap}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["analyze", "canonical", "entanglement"])
 def test_commands_other_than_verify_need_a_document(command):
     from frustgraph import InvalidMode

@@ -131,6 +131,15 @@ def test_central_indices_five_qudit_cut():
     assert len(central_subgroup_indices(spec)) == 4
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("k", range(5))
+def test_element_indices_are_the_lexicographic_product(d, k):
+    got = element_indices(d, k)
+    want = np.array(list(itertools.product(range(d), repeat=k)), dtype=np.int64)
+    assert got.dtype == np.int64 and got.shape == (d ** k, k)
+    assert np.array_equal(got, want.reshape(d ** k, k))
+
+
 def test_central_indices_commute_with_everything():
     rng = np.random.default_rng(23)
     for _ in range(30):
@@ -138,7 +147,7 @@ def test_central_indices_commute_with_everything():
         k = int(rng.integers(1, 5))
         spec = GroupSpec.from_gamma(d, random_antisymmetric(rng, d, k))
         central = set(central_subgroup_indices(spec))
-        everything = element_indices(d, k)
+        everything = list(map(tuple, element_indices(d, k).tolist()))
         brute = {
             I
             for I in everything

@@ -25,6 +25,7 @@ from frustgraph import (
     sos_bound,
     stabilizer_projector,
     sum_bound,
+    theta_energy,
     theta_state,
     verify_swap_identity,
 )
@@ -246,15 +247,17 @@ def test_theta_state_coefficients():
 
 
 def test_theta_state_weyl_sum():
-    d = 3
-    vec = theta_state(d)
-    total = sum(
-        np.vdot(vec, dense_pauli(PauliOperator(d, (i,), (j,))) @ vec)
-        for i in range(d)
-        for j in range(d)
-    )
-    assert np.real(total) == pytest.approx(d * (1 + np.sqrt(d)) / 2, abs=1e-9)
-    assert abs(np.imag(total)) < 1e-9
+    # the dense route, d^2 matrices, is the reference for theta_energy's group sum
+    for d in (3, 5, 11):
+        vec = theta_state(d)
+        total = sum(
+            np.vdot(vec, dense_pauli(PauliOperator(d, (i,), (j,))) @ vec)
+            for i in range(d)
+            for j in range(d)
+        )
+        assert np.real(total) == pytest.approx(d * (1 + np.sqrt(d)) / 2, abs=1e-9)
+        assert abs(np.imag(total)) < 1e-9
+        assert theta_energy(d) == pytest.approx(np.real(total), rel=1e-13)
 
 
 def test_dense_realisation_faithful_to_symbolic_products():

@@ -30,12 +30,7 @@ from frustgraph.cli import parse_document
 from frustgraph.errors import NotAntisymmetric
 from frustgraph.gf import alternating_ranks, block_dtype, exact_dtype
 from frustgraph.pauli import commutator_matrix, exponent_tableau
-from frustgraph.stabilizer import (
-    SCAN_BLOCK,
-    BipartitionScan,
-    ggm_from_reports,
-    gme_from_reports,
-)
+from frustgraph.stabilizer import SCAN_BLOCK, BipartitionScan
 
 BIG_PRIME = 2 ** 31 - 1  # int64 products of two residues fit, sums of three do not
 
@@ -143,7 +138,7 @@ def test_scan_at_the_int16_boundary(d, dtype):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_scan_sites_follow_bipartitions(n):
-    scan = BipartitionScan(n, [], {})
+    scan = BipartitionScan(2, n, [], {})
     assert scan.sites == [list(q.indices) for q in bipartitions(n)]
     assert (n == 1) == (scan.sites == [])
 
@@ -189,8 +184,8 @@ def test_gme_and_ggm_from_the_least_rank():
     for stab in cases:
         scan = stab.bipartition_reports()
         gme, ggm = per_report(scan, stab.d)
-        assert gme_from_reports(scan) == gme == stab.is_gme()
-        assert ggm_from_reports(scan, stab.d) == ggm
+        assert scan.is_gme == gme == stab.is_gme()
+        assert scan.ggm == ggm
         assert stab.ggm_measure() == float(ggm)
         seen.add((len(scan) > 0, min(scan.ranks, default=None) == 0, gme))
     assert {(False, False, False), (True, True, False), (True, False, True)} <= seen

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Parses generator documents in a small line-oriented grammar, dispatches
-the analyses, and emits deterministic text or JSON reports.
+the analyses, and emits deterministic text or JSON reports; both writers
+render the cuts of an entanglement report in bulk from its ``CutTable``.
 
 Grammar (UTF-8, LF or CRLF):
 
@@ -29,9 +30,10 @@ import os
 import re
 import sys
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -62,7 +64,7 @@ from .oracle import (
     verify_swap_identity,
 )
 from .pauli import PauliOperator, omega_units
-from .stabilizer import Stabilizer, builtin_code
+from .stabilizer import BipartitionScan, Stabilizer, _cut_sides, builtin_code
 
 REPORT_SCHEMA = "frustgraph-report/1"
 
@@ -96,17 +98,7 @@ def real_str(x: float) -> str:
         return str(x)
     if x == 0:
         return "0.000000000000"
-    mantissa, exp_text = f"{x:.11e}".split("e")
-    neg = mantissa.startswith("-")
-    digits = mantissa.lstrip("-").replace(".", "")
-    point = int(exp_text) + 1
-    if point <= 0:
-        out = "0." + "0" * (-point) + digits
-    elif point >= len(digits):
-        out = digits + "0" * (point - len(digits))
-    else:
-        out = digits[:point] + "." + digits[point:]
-    return ("-" if neg else "") + out
+    return format(Decimal(f"{x:.11e}"), "f")  # the 12 digits, positional
 
 
 def rational_dict(value: Fraction) -> dict:
@@ -275,13 +267,41 @@ class Report:
     schema: str = REPORT_SCHEMA
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "result": self.result,
-            "version": self.version,
-        }
+        """The report in plain dicts and lists, a ``CutTable`` as its rows."""
+        return self._fields({k: list(v) if isinstance(v, CutTable) else v
+                             for k, v in self.result.items()})
+
+    def _fields(self, result: dict) -> dict:
+        return {"schema": self.schema, "command": self.command,
+                "input_digest": self.input_digest, "result": result, "version": self.version}
+
+
+class CutTable(Sequence):
+    """The ``{"Q", "rank", "gm"}`` rows of an entanglement report, one per cut.
+
+    A view of one scan: indexing builds a row; the writers build none, but
+    append one rendered tail per distinct rank to each side Q rendered by
+    ``_cut_sides``.
+    """
+
+    def __init__(self, scan: BipartitionScan):
+        self.scan = scan
+        # one rendered measure per distinct rank, shared by its cuts
+        self.gm = {r: rational_dict(value) for r, value in scan.measures.items()}
+
+    def __len__(self) -> int:
+        return len(self.scan)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        r = self.scan.ranks[i]
+        return {"Q": list(self.scan.sites[i]), "rank": r, "gm": self.gm[r]}
+
+    def rows(self, head: str, sep: str, tails: dict[int, str]) -> list[str]:
+        """Each cut as ``head``, its sites joined by ``sep``, then its rank's tail."""
+        sides = _cut_sides(head + "1", [sep + str(s) for s in range(2, self.scan.n_sites + 1)])
+        return [q + tails[r] for q, r in zip(sides, self.scan.ranks)]
 
 
 def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
@@ -327,28 +347,20 @@ def _run_entanglement(doc: InputDocument, flags: CommandFlags) -> Report:
         raise InvalidMode("entanglement needs a stabilizer document")
     stab = Stabilizer(doc.generators)
     scan = stab.bipartition_reports()
-    # one rendered measure per distinct rank, shared by its cuts
-    gm = {r: rational_dict(value) for r, value in scan.measures.items()}
     result = {
         "d": stab.d,
         "n_sites": stab.n_sites,
         "k": stab.k,
         "is_gme": scan.is_gme,
         "ggm": rational_dict(scan.ggm),
-        "bipartitions": [
-            {"Q": q, "rank": r, "gm": gm[r]} for q, r in zip(scan.sites, scan.ranks)
-        ],
+        "bipartitions": CutTable(scan),
     }
     return Report("entanglement", doc.digest, result)
 
 
 def _check_entry(name: str, deviation: float, tolerance: float, **extra) -> dict:
-    entry = {"name": name}
-    entry.update(extra)
-    entry["deviation"] = real_str(deviation)
-    entry["tolerance"] = real_str(tolerance)
-    entry["pass"] = bool(deviation <= tolerance)
-    return entry
+    return {"name": name, **extra, "deviation": real_str(deviation),
+            "tolerance": real_str(tolerance), "pass": bool(deviation <= tolerance)}
 
 
 def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
@@ -437,18 +449,18 @@ def _text_lines(report: Report) -> list[str]:
             lines.append(f"{prefix}:")
             for key, sub in value.items():
                 emit(f"  {key}", sub)
+        elif isinstance(value, CutTable):
+            tails = {r: f"], rank={r}, gm={gm['real']}" for r, gm in value.gm.items()}
+            rows = value.rows("  - Q=[", ", ", tails)
+            lines.extend([f"{prefix}:", *rows] if rows else [f"{prefix}: []"])
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{prefix}:")
             for row in value:
                 lines.append("  " + " ".join(str(v) for v in row))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{prefix}:")
-            for item in value:
-                parts = ", ".join(
-                    f"{k}={v['real'] if isinstance(v, dict) and 'real' in v else v}"
-                    for k, v in item.items()
-                )
-                lines.append(f"  - {parts}")
+            for item in value:  # the checks of verify
+                lines.append("  - " + ", ".join(f"{k}={v}" for k, v in item.items()))
         else:
             lines.append(f"{prefix}: {value}")
 
@@ -457,34 +469,15 @@ def _text_lines(report: Report) -> list[str]:
     return lines
 
 
-def _json_column(column: list, pad: str):
-    """Render each value of one key column of a same-key dict list at indent ``pad``."""
-    types = set(map(type, column))
-    if types == {int}:
-        return map(int.__repr__, column)
-    if types == {list} and all(column) and set(map(type, chain.from_iterable(column))) == {int}:
-        head, sep, tail = "[\n" + pad + "  ", ",\n" + pad + "  ", "\n" + pad + "]"
-        return [head + sep.join(map(int.__repr__, v)) + tail for v in column]
-    rendered: dict[int, str] = {}  # one rendering per distinct object
-    for v in column:
-        if id(v) not in rendered:
-            chunks: list[str] = []
-            _json_chunks(v, pad, chunks)
-            rendered[id(v)] = "".join(chunks)
-    return [rendered[id(v)] for v in column]
-
-
 def _json_chunks(value, pad: str, out: list[str]) -> None:
     """Append ``json.dumps(value, indent=2)``, nested at indent ``pad``, to ``out``.
 
     Keys must be strings.  With an indent ``json.dumps`` falls back to its
     pure-Python encoder, one chunk per token; here a list of plain ints,
-    such as a matrix row or a cut's sites, is one chunk, and the caller
-    joins the chunks once, so no nested level is copied.  A list of plain
-    dicts that all share one key sequence, such as the cuts of a scan, is
-    rendered one key column at a time (``_json_column``: ints and lists of
-    plain ints by ``int.__repr__``, any other value once per distinct
-    object) and the rows are joined from those columns.
+    such as a matrix row, is one chunk, and the caller joins the chunks
+    once, so no nested level is copied.  A ``CutTable`` is one chunk too,
+    the list of its rows: each cut's rendered side Q plus the rendered
+    rank and measure of its rank, built once per distinct rank.
     """
     if type(value) is int:
         out.append(int.__repr__(value))
@@ -498,21 +491,16 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
+    elif isinstance(value, CutTable):
+        inner, field = pad + "  ", pad + "    "
+        tails = {r: f'\n{field}],\n{field}"rank": {r},\n{field}"gm": {_json(gm, field)}\n{inner}}}'
+                 for r, gm in value.gm.items()}
+        rows = value.rows(f'{{\n{field}"Q": [\n{field}  ', f",\n{field}  ", tails)
+        out.append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]" if rows else "[]")
     elif isinstance(value, (list, tuple)) and value:
         inner = pad + "  "
-        types = set(map(type, value))
-        keys = tuple(value[0]) if types == {dict} else ()
-        if types == {int}:
+        if set(map(type, value)) == {int}:
             out += ("[\n", inner, (",\n" + inner).join(map(int.__repr__, value)))
-        elif keys and all(map(keys.__eq__, map(tuple, value))):
-            field, columns = inner + "  ", []
-            sep = "{\n" + field
-            for key in keys:
-                column = _json_column([row[key] for row in value], field)
-                columns += (repeat(sep + encode_basestring_ascii(key) + ": "), column)
-                sep = ",\n" + field
-            columns.append(repeat("\n" + inner + "}"))
-            out += ("[\n", inner, (",\n" + inner).join(map("".join, zip(*columns))))
         else:
             sep = "[\n" + inner
             for item in value:
@@ -524,15 +512,19 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
+def _json(value, pad: str = "") -> str:
+    out: list[str] = []
+    _json_chunks(value, pad, out)
+    return "".join(out)
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Deterministic serialization; field order is fixed by construction.
 
     JSON is byte-for-byte ``json.dumps(report.to_dict(), indent=2)``.
     """
     if fmt == "json":
-        out: list[str] = []
-        _json_chunks(report.to_dict(), "", out)
-        return "".join(out)
+        return _json(report._fields(report.result))
     return "\n".join(_text_lines(report))
 
 

@@ -25,9 +25,10 @@ elimination.  Only the ranks are kept, as one list in a
 ``BipartitionReport`` (Q, rank_Q, the exact measure gm_exact and its
 float gm_value) is built when the scan is indexed, and
 ``Stabilizer.reduced_generating_graph(Q)`` gives the matrix gamma_Q of
-one cut.  The tableau dtype comes from ``gf.exact_dtype``: int64
-when 2 n (d-1)^2 < 2^63, so that no sum of exponent products can
-overflow, and exact Python ints otherwise.
+one cut.  ``_cut_sides`` lists the sides Q by doubling, as site lists
+or, for the report writers, as rendered text.  The tableau dtype comes
+from ``gf.exact_dtype``: int64 when 2 n (d-1)^2 < 2^63, so that no sum
+of exponent products can overflow, and exact Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -65,23 +66,29 @@ from .pauli import (
 SCAN_BLOCK = 1024
 
 
-def _cut_sites(n_sites: int) -> list[list[int]]:
-    """Side Q of every cut as a sorted site list, in ``bipartitions`` order.
+def _cut_sides(first, tails) -> list:
+    """Side Q of every cut, in ``bipartitions`` order, as ``first`` plus tails.
 
-    Doubling on site i + 2 appends the masks with bit i set after those
-    without it, which is binary counting.
+    Doubling on each tail appends the sides holding its site after those
+    without it, which is binary counting over sites 2..n.  Lists of site
+    ints and rendered report rows are built the same way.
     """
-    qs = [[1]]
-    for i in range(n_sites - 1):
-        qs += [q + [i + 2] for q in qs]
-    return qs[:-1]  # the last list holds every site: not a cut
+    qs = [first]
+    for tail in tails:
+        qs += [q + tail for q in qs]
+    return qs[:-1]  # the last side holds every site: not a cut
+
+
+def _cut_sites(n_sites: int) -> list[list[int]]:
+    """Side Q of every cut as a sorted site list."""
+    return _cut_sides([1], [[s] for s in range(2, n_sites + 1)])
 
 
 def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
     """All 2^(n-1) - 1 bipartition halves Q, with site 1 always in Q.
 
     Enumeration order is fixed (binary counting over sites 2..n, as
-    ``_cut_sites`` lists them), so any scan over bipartitions is
+    ``_cut_sides`` lists them), so any scan over bipartitions is
     reproducible.  Refused past ``DEFAULT_BIPARTITION_CAP`` cuts before
     any is listed.
     """

@@ -12,7 +12,9 @@ on an ``eigh`` code basis of ``projector``, the sum of the dense element
 matrices, not the oracle's ``_group_sum``.  The exact kernels after them
 are the scalar loops that the library's array kernels replaced: the
 pivoting clique search, row-by-row elimination and the vector-by-vector
-symplectic pass.
+symplectic pass.  Last come the report writers that the bulk ones
+replaced: the text report rendered row by row from ``Report.to_dict()``,
+and reals split into digits and a decimal point by hand.
 """
 
 from __future__ import annotations
@@ -343,3 +345,58 @@ def symplectic_pass(gamma):
     cols = [x for pair in pairs for x in pair] + vectors
     O = np.column_stack(cols) if cols else np.zeros((0, 0), dtype=np.int64)
     return O, len(pairs)
+
+
+def real_str(x: float) -> str:
+    """Positional decimal rendering with 12 significant digits kept."""
+    x = float(x)
+    if x != x or x in (float("inf"), float("-inf")):
+        return str(x)
+    if x == 0:
+        return "0.000000000000"
+    mantissa, exp_text = f"{x:.11e}".split("e")
+    neg = mantissa.startswith("-")
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exp_text) + 1
+    if point <= 0:
+        out = "0." + "0" * (-point) + digits
+    elif point >= len(digits):
+        out = digits + "0" * (point - len(digits))
+    else:
+        out = digits[:point] + "." + digits[point:]
+    return ("-" if neg else "") + out
+
+
+def report_text(report: dict) -> str:
+    """The text report of a ``Report.to_dict()``, one row dict at a time."""
+    lines = [
+        f"frustgraph {report['command']} (schema {report['schema']}, version {report['version']})",
+        f"input: {report['input_digest'] or '-'}",
+    ]
+
+    def emit(prefix: str, value) -> None:
+        if isinstance(value, dict):
+            if set(value) == {"num", "den", "real"}:
+                lines.append(f"{prefix}: {value['num']}/{value['den']} = {value['real']}")
+                return
+            lines.append(f"{prefix}:")
+            for key, sub in value.items():
+                emit(f"  {key}", sub)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            lines.append(f"{prefix}:")
+            for row in value:
+                lines.append("  " + " ".join(str(v) for v in row))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{prefix}:")
+            for item in value:
+                parts = ", ".join(
+                    f"{k}={v['real'] if isinstance(v, dict) and 'real' in v else v}"
+                    for k, v in item.items()
+                )
+                lines.append(f"  - {parts}")
+        else:
+            lines.append(f"{prefix}: {value}")
+
+    for key, value in report["result"].items():
+        emit(key, value)
+    return "\n".join(lines)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import denseref
 from frustgraph import (
     DimensionMismatch,
     ExponentOutOfRange,
@@ -39,7 +40,7 @@ from frustgraph.cli import (
     run_command,
     serialize_document,
 )
-from frustgraph.stabilizer import Stabilizer, builtin_code
+from frustgraph.stabilizer import Stabilizer, _cut_sides, _cut_sites, builtin_code
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS_DIR = ROOT / "docs" / "inputs"
@@ -517,6 +518,16 @@ def test_emit_report_rational_rendering():
     assert list(payload) == ["schema", "command", "input_digest", "result", "version"]
 
 
+def test_one_site_entanglement_has_an_empty_cut_table():
+    report = run_command("entanglement", parse_document("d=3 n=1\ng1: X\n"), CommandFlags())
+    assert len(report.result["bipartitions"]) == 0
+    assert emit_report(report, "text").splitlines()[-3:] == [
+        "is_gme: False", "ggm: 0/1 = 0.000000000000", "bipartitions: []",
+    ]
+    assert '\n    "bipartitions": []\n' in emit_report(report, "json")
+    assert report.to_dict()["result"]["bipartitions"] == []
+
+
 def test_emit_report_integer_fields_stay_integers():
     report = Report(command="analyze", input_digest="x", result={"clique_number": 4})
     assert json.loads(emit_report(report, "json"))["result"]["clique_number"] == 4
@@ -533,9 +544,9 @@ json_leaves = st.one_of(
     st.text(),
     st.lists(st.integers(), min_size=1, max_size=5),  # the plain-int fast path
 )
-# values of one key column in a list of same-key dicts: the int and int-list
-# columns of the columnar rule, and near misses (bools, empty lists, a bool or
-# float inside an int list)
+# values of one key column in a list of same-key dicts, the shape of the
+# verify checks: ints, int lists, and near misses (bools, empty lists, a bool
+# or float inside an int list)
 _COLUMN_VALUES = [
     st.integers(),
     st.one_of(st.integers(), st.booleans()),
@@ -620,6 +631,87 @@ def test_real_str_significant_digits():
     assert real_str(0.5) == "0.500000000000"
     assert real_str(0.0) == "0.000000000000"
     assert real_str(8.196152422706632) == "8.19615242271"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(), st.integers(-(10 ** 14), 10 ** 14)))
+@example(5e-324)
+@example(-1.7976931348623157e308)
+@example(123456789012.0)
+@example(1234567890123.0)
+def test_real_str_matches_the_digit_splitting_reference(x):
+    assert real_str(x) == denseref.real_str(x)
+
+
+def _entanglement_document(d: int, n: int, kind: str, k: int, rng: random.Random) -> str:
+    """A random graph-state (first k generators) or GHZ (random tree) document."""
+    if kind == "graph":
+        adj = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                adj[i][j] = adj[j][i] = rng.randrange(d)
+        rows = [["X" if s == i else f"Z^{adj[i][s]}" if adj[i][s] else "I" for s in range(n)]
+                for i in range(k)]
+    else:
+        rows = [[f"X^{rng.randrange(1, d)}"] * n]
+        for i in range(1, n):
+            parent, e = rng.randrange(i), rng.randrange(1, d)
+            row = ["I"] * n
+            row[i], row[parent] = f"Z^{e}", f"Z^{d - e}"
+            rows.append(row)
+        rng.shuffle(rows)
+    lines = [f"d={d} n={n} mode=stabilizer"]
+    lines += [f"g{i}: " + " ".join(row) for i, row in enumerate(rows, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 9),
+    st.sampled_from(["graph", "ghz"]),
+    st.integers(0, 2 ** 32 - 1),
+    st.data(),
+)
+@example(2, 1, "ghz", 0, None)
+@example(3, 2, "graph", 1, None)
+@example(5, 2, "ghz", 2, None)
+def test_cut_table_matches_the_row_dicts(d, n, kind, seed, data):
+    rng = random.Random(seed)
+    k = n if kind == "ghz" else rng.randint(1, n)
+    doc = parse_document(_entanglement_document(d, n, kind, k, rng))
+    report = run_command("entanglement", doc, CommandFlags())
+    rows = [
+        {"Q": list(cut.Q.indices), "rank": cut.rank_Q, "gm": rational_dict(cut.gm_exact)}
+        for cut in Stabilizer(doc.generators).bipartition_reports()
+    ]
+    table = report.result["bipartitions"]
+    assert len(table) == len(rows) == 2 ** (n - 1) - 1
+    assert list(table) == rows
+    assert report.to_dict()["result"]["bipartitions"] == rows
+    assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
+    assert emit_report(report, "text") == denseref.report_text(report.to_dict())
+    if data is not None and rows:
+        i = data.draw(st.integers(-len(rows), len(rows) - 1))
+        a, b = (data.draw(st.integers(-len(rows), len(rows))) for _ in range(2))
+        step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+        assert table[i] == rows[i]
+        assert table[a:b:step] == rows[a:b:step]
+    with pytest.raises(IndexError):
+        table[len(rows)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cut_sides_texts_render_the_cut_sites(n):
+    sites = _cut_sites(n)
+    assert len(sites) == 2 ** (n - 1) - 1
+    text = _cut_sides("  - Q=[1", [", " + str(s) for s in range(2, n + 1)])
+    assert text == [f"  - Q={q}"[:-1] for q in sites]
+    pad = "      "
+    rows = _cut_sides("[\n" + pad + "1", [",\n" + pad + str(s) for s in range(2, n + 1)])
+    assert [row + "\n    ]" for row in rows] == [
+        json.dumps(q, indent=2).replace("\n", "\n    ") for q in sites
+    ]
 
 
 def _run_cli(*argv, stdin=None):
@@ -743,23 +835,25 @@ def test_entanglement_scans_the_cuts_once(monkeypatch):
     assert report.result["is_gme"] is True
 
 
-def test_entanglement_json_renders_a_shared_value_once(monkeypatch):
-    # 2047 cuts share one gm dict: the writer renders it once, not once per
-    # cut, so the call count does not grow with the number of cuts
+def test_entanglement_writers_build_no_cut_row(monkeypatch):
+    # both writers render the 2047 cuts from the scan, without one row dict
     calls = []
-    original = cli._json_chunks
+    original = cli.CutTable.__getitem__
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(self, i):
+        calls.append(i)
+        return original(self, i)
 
-    monkeypatch.setattr(cli, "_json_chunks", counted)
+    monkeypatch.setattr(cli.CutTable, "__getitem__", counted)
     report = run_command(
         "entanglement", document_from_stabilizer(builtin_code("ghz", 3, 12)), CommandFlags()
     )
-    assert len(report.result["bipartitions"]) == 2047
-    assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
-    assert len(calls) < 100
+    json_text, text = emit_report(report, "json"), emit_report(report, "text")
+    assert calls == []
+    plain = report.to_dict()["result"]["bipartitions"]
+    assert type(plain) is list and len(plain) == 2047
+    assert json_text == json.dumps(report.to_dict(), indent=2)
+    assert text == denseref.report_text(report.to_dict())
 
 
 def test_cli_reports_are_deterministic(tmp_path):

@@ -33,10 +33,10 @@ it to the identity, ``theta_energy`` to the theta state over the powers
 of X and Z; ``max_sum_eigenvalue`` applies it to one identity
 column per place in a coset of the span of the X parts, which gives the
 diagonal coset blocks as one stack; ``max_product_overlaps`` runs
-stacked cuts and restarts on an orthonormal basis of the code space,
-random columns pushed through the code projector, orthonormalised once
-per ``Stabilizer`` and cached on it.  Its random starts are drawn on the
-larger side of each cut.
+stacked cuts and restarts on an exact orthonormal basis of the code
+space, the normalised group sums of the least states of the d^(n-k)
+cosets where every zero-X element has phase 1, cached per ``Stabilizer``.
+Its random starts are drawn on the larger side of each cut.
 
 The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
 is at most the number of elements, and P <= I, so no product overlap
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSubset, EvenDimension, InvalidOption
-from .gf import GFMatrix, _row_echelon, check_modulus
+from .gf import GFMatrix, _row_echelon, check_modulus, nullspace_basis
 from .group import GroupSpec, element_indices
 from .limits import DENSE_DIM_CAP, ENERGY_DIM_CAP, OVERLAP_DIM_CAP, SWAP_D_CAP, check_size
 from .pauli import (
@@ -76,7 +76,6 @@ _OVERLAP_ENTRIES = 2 ** 16
 SWAP_TOLERANCE = 1e-12
 FAITHFULNESS_TOLERANCE = 1e-12
 HERMITICITY_TOLERANCE = 1e-12
-RANK_TOLERANCE = 1e-9
 BOUND_TOLERANCE = 1e-9
 OVERLAP_TOLERANCE = 1e-6
 LAGRANGE_TOLERANCE = 1e-6
@@ -136,10 +135,7 @@ def verify_swap_identity(d: int) -> float:
             w = dense_pauli(PauliOperator(d, (i,), (j,)))
             acc += np.kron(w, w.conj().T)
     acc /= d
-    swap = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1.0
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, -1)  # ab -> ba
     return float(np.max(np.abs(acc - swap)))
 
 
@@ -282,18 +278,26 @@ def max_sos(spec: GroupSpec, cfg: OptimizerConfig | None = None) -> float:
     return float(max(best, evaluate(_commuting_witness(spec))[2]))
 
 
+def _coset_labels(gathers: np.ndarray) -> np.ndarray:
+    """Least state in each state's coset of the X span, a running min over the power gathers."""
+    label = np.arange(gathers.shape[-1])
+    for shifts in gathers:  # [s] gathers x - s a
+        label = label[shifts].min(axis=0)
+    return label
+
+
 def max_sum_eigenvalue(spec: GroupSpec) -> float:
     """Top eigenvalue of H = sum over the group of (A + A^dagger), odd d.
 
     Elements carry their exact product phases, so H is Hermitian by
     construction.  X^a Z^b maps the coset y + span(X parts) to itself, so
     H is block diagonal: each basis state is labelled by the least state
-    of its coset (a running min over the shifts by every generator power).
-    Column j of the identity stack holds the j-th state of every coset;
-    every factor of ``_group_sum`` keeps each coset to itself, so the sum
-    applied to it reads off every coset block at once, and one
-    ``eigvalsh`` diagonalises the (cosets, s, s) stack.  The value is
-    returned as found, also where it exceeds ``sum_bound``.
+    of its coset (``_coset_labels``).  Column j of the identity stack
+    holds the j-th state of every coset; every factor of ``_group_sum``
+    keeps each coset to itself, so the sum applied to it reads off every
+    coset block at once, and one ``eigvalsh`` diagonalises the (cosets, s,
+    s) stack.  The value is returned as found, also where it exceeds
+    ``sum_bound``.
     """
     if spec.d == 2:
         raise EvenDimension("the expectation-sum Hamiltonian requires odd d")
@@ -305,9 +309,7 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
     dim = check_size(d ** spec.generators[0].n_sites, ENERGY_DIM_CAP,
                      "basis states of the energy check")
     tables = _power_tables(spec.generators, d)
-    label = np.arange(dim)
-    for shifts in tables[0]:  # [s] gathers x - s a
-        label = label[shifts].min(axis=0)
+    label = _coset_labels(tables[0])
     size = dim // int(np.count_nonzero(label == np.arange(dim)))
     order = np.argsort(label, kind="stable")  # coset by coset, each in state order
     eye = np.zeros((dim, size), dtype=np.complex128)
@@ -330,32 +332,29 @@ def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
 
 
 def _code_basis(stab: Stabilizer) -> np.ndarray:
-    """Orthonormal d^n x d^(n-k) basis of the stabilized subspace.
+    """Exact orthonormal d^n x d^(n-k) code-space basis, C-contiguous, cached on ``stab``.
 
-    P = (1/d^k) ``_group_sum``, each factor d gathers through the action
-    tables, maps d^(n-k) fixed-seed random columns into the code space and
-    one QR orthonormalises them.  Refused unless all diagonal entries of R
-    clear the rank cutoff and P V = V.  Built once and cached on ``stab``.
+    X^a Z^b maps e_x to a phase times e_{x+a}, so the group sum of e_x is a
+    phase times that of the least state y of its coset, and is nonzero
+    exactly when every zero-X element (the products over the kernel of
+    A^T) acts on y with phase 1.  Cosets have disjoint supports, so these
+    sums, normalised, are the basis; refused unless there are d^(n-k).
     """
     stab.validate()
     if stab._code_basis is None:
-        d = stab.d
+        d, k = stab.d, stab.k
         dim = check_size(d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
-        want = d ** (stab.n_sites - stab.k)
         tables = _power_tables(stab.generators, d)
-
-        def project(cols: np.ndarray) -> np.ndarray:
-            return _group_sum(tables, cols) / d ** stab.k
-
-        rng = np.random.Generator(np.random.Philox(0))
-        cols = rng.normal(size=(dim, want)) + 1j * rng.normal(size=(dim, want))
-        basis, r = np.linalg.qr(project(cols))
-        rank = int(np.sum(np.abs(np.diagonal(r)) > RANK_TOLERANCE * np.sqrt(dim)))
-        if rank != want:
-            raise RuntimeError(f"code projector has rank {rank}, expected {want}")
-        if np.max(np.abs(project(basis) - basis)) > HERMITICITY_TOLERANCE:
-            raise RuntimeError("code basis is not fixed by the code projector")
-        stab._code_basis = basis
+        kernel = np.array(nullspace_basis(GFMatrix(stab._A.T, d)), dtype=np.int64).reshape(-1, k)
+        _, ph = _action_tables(*ordered_products(stab.generators, kernel), d)
+        reps = np.flatnonzero(_coset_labels(tables[0]) == np.arange(dim))
+        reps = reps[np.all(ph[:, reps] == 1, axis=0)]  # zeta^0 is exactly 1
+        if reps.size != dim // d ** k:
+            raise RuntimeError(f"{reps.size} coset vectors span the code, expected {dim // d ** k}")
+        cols = np.zeros((dim, reps.size), dtype=np.complex128)
+        cols[reps, np.arange(reps.size)] = 1.0
+        basis = _group_sum(tables, cols)
+        stab._code_basis = np.ascontiguousarray(basis / np.linalg.norm(basis, axis=0))
     return stab._code_basis
 
 

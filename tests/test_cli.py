@@ -427,6 +427,17 @@ def test_verify_sum_reports_the_found_value(text, code, value, tmp_path, capsys)
     assert entry["pass"] is (code == 0)
 
 
+def test_verify_overlap_of_a_code_whose_basis_check_once_failed(tmp_path, capsys):
+    # the code basis of this d=5 generator once failed an absolute 1e-12
+    # check that P V = V, by rounding (1.06e-12), and verify exited 1
+    path = tmp_path / "doc.txt"
+    path.write_text("d=5 n=4 mode=stabilizer\ng1: X Z^3 Z^2 Z^3\n")
+    assert main(["verify", str(path), "--overlap", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert [entry["name"] for entry in result["checks"]] == ["overlap"]
+    assert result["all_pass"] is True
+
+
 X16_TEXT = "d=3 n=1 mode=group\n" + "".join(f"g{i}: X\n" for i in range(1, 17))
 XZ14_TEXT = "d=3 n=2 mode=group\n" + "".join(f"g{i}: X Z\n" for i in range(1, 15))
 # X on each of 12 qubits and Z on the first: 13 independent generators,

@@ -2,7 +2,7 @@
 
 Parses generator documents in a small line-oriented grammar, dispatches
 the analyses, and emits deterministic text or JSON reports; both writers
-render the cuts of an entanglement report in bulk from its ``CutTable``.
+render the cuts of an entanglement report in bulk from the scan itself.
 
 Grammar (UTF-8, LF or CRLF):
 
@@ -30,7 +30,6 @@ import os
 import re
 import sys
 import traceback
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -64,7 +63,7 @@ from .oracle import (
     verify_swap_identity,
 )
 from .pauli import PauliOperator, omega_units
-from .stabilizer import BipartitionScan, Stabilizer, _cut_sides, builtin_code
+from .stabilizer import BipartitionScan, Stabilizer, _cut_sides, bipartitions, builtin_code
 
 REPORT_SCHEMA = "frustgraph-report/1"
 
@@ -267,41 +266,18 @@ class Report:
     schema: str = REPORT_SCHEMA
 
     def to_dict(self) -> dict:
-        """The report in plain dicts and lists, a ``CutTable`` as its rows."""
-        return self._fields({k: list(v) if isinstance(v, CutTable) else v
-                             for k, v in self.result.items()})
+        """The report in plain dicts and lists, a scan as its ``{"Q", "rank", "gm"}`` rows."""
+        result = dict(self.result)
+        for key, scan in self.result.items():
+            if isinstance(scan, BipartitionScan):
+                gm = {r: rational_dict(value) for r, value in scan.measures.items()}
+                result[key] = [{"Q": list(q), "rank": r, "gm": gm[r]}
+                               for q, r in zip(scan.sites, scan.ranks)]
+        return self._fields(result)
 
     def _fields(self, result: dict) -> dict:
         return {"schema": self.schema, "command": self.command,
                 "input_digest": self.input_digest, "result": result, "version": self.version}
-
-
-class CutTable(Sequence):
-    """The ``{"Q", "rank", "gm"}`` rows of an entanglement report, one per cut.
-
-    A view of one scan: indexing builds a row; the writers build none, but
-    append one rendered tail per distinct rank to each side Q rendered by
-    ``_cut_sides``.
-    """
-
-    def __init__(self, scan: BipartitionScan):
-        self.scan = scan
-        # one rendered measure per distinct rank, shared by its cuts
-        self.gm = {r: rational_dict(value) for r, value in scan.measures.items()}
-
-    def __len__(self) -> int:
-        return len(self.scan)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        r = self.scan.ranks[i]
-        return {"Q": list(self.scan.sites[i]), "rank": r, "gm": self.gm[r]}
-
-    def rows(self, head: str, sep: str, tails: dict[int, str]) -> list[str]:
-        """Each cut as ``head``, its sites joined by ``sep``, then its rank's tail."""
-        sides = _cut_sides(head + "1", [sep + str(s) for s in range(2, self.scan.n_sites + 1)])
-        return [q + tails[r] for q, r in zip(sides, self.scan.ranks)]
 
 
 def _run_analyze(doc: InputDocument, flags: CommandFlags) -> Report:
@@ -353,7 +329,7 @@ def _run_entanglement(doc: InputDocument, flags: CommandFlags) -> Report:
         "k": stab.k,
         "is_gme": scan.is_gme,
         "ggm": rational_dict(scan.ggm),
-        "bipartitions": CutTable(scan),
+        "bipartitions": scan,
     }
     return Report("entanglement", doc.digest, result)
 
@@ -405,11 +381,10 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                                         value=real_str(got), bound=real_str(bound)))
         elif name == "overlap":
             stab = Stabilizer(doc.generators)
-            reports = list(stab.bipartition_reports())
-            overlaps = max_product_overlaps(stab, [report.Q for report in reports], cfg)
-            worst = 0.0
-            for report, overlap in zip(reports, overlaps):
-                worst = max(worst, abs(1.0 - overlap - report.gm_value))
+            scan = stab.bipartition_reports()
+            overlaps = max_product_overlaps(stab, list(bipartitions(stab.n_sites)), cfg)
+            worst = max([0.0] + [abs(1.0 - overlap - float(scan.measures[r]))
+                                 for overlap, r in zip(overlaps, scan.ranks)])
             entries.append(_check_entry("overlap", worst, OVERLAP_TOLERANCE))
         else:
             raise InvalidMode(f"unknown verify check {name!r}")
@@ -435,6 +410,17 @@ def run_command(command: str, doc: InputDocument | None, flags: CommandFlags) ->
     raise InvalidMode(f"unknown command {command!r}")
 
 
+def _cut_rows(scan: BipartitionScan, head: str, sep: str, tail) -> list[str]:
+    """Each cut as ``head``, its sites joined by ``sep``, then its rank's tail.
+
+    The sides come as text from ``_cut_sides`` and ``tail(rank, gm)`` is
+    rendered once per distinct rank, so no per-cut object is built.
+    """
+    tails = {r: tail(r, rational_dict(value)) for r, value in scan.measures.items()}
+    sides = _cut_sides(head + "1", [sep + str(s) for s in range(2, scan.n_sites + 1)])
+    return [q + tails[r] for q, r in zip(sides, scan.ranks)]
+
+
 def _text_lines(report: Report) -> list[str]:
     lines = [
         f"frustgraph {report.command} (schema {report.schema}, version {report.version})",
@@ -449,9 +435,8 @@ def _text_lines(report: Report) -> list[str]:
             lines.append(f"{prefix}:")
             for key, sub in value.items():
                 emit(f"  {key}", sub)
-        elif isinstance(value, CutTable):
-            tails = {r: f"], rank={r}, gm={gm['real']}" for r, gm in value.gm.items()}
-            rows = value.rows("  - Q=[", ", ", tails)
+        elif isinstance(value, BipartitionScan):
+            rows = _cut_rows(value, "  - Q=[", ", ", lambda r, gm: f"], rank={r}, gm={gm['real']}")
             lines.extend([f"{prefix}:", *rows] if rows else [f"{prefix}: []"])
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{prefix}:")
@@ -475,9 +460,8 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
     Keys must be strings.  With an indent ``json.dumps`` falls back to its
     pure-Python encoder, one chunk per token; here a list of plain ints,
     such as a matrix row, is one chunk, and the caller joins the chunks
-    once, so no nested level is copied.  A ``CutTable`` is one chunk too,
-    the list of its rows: each cut's rendered side Q plus the rendered
-    rank and measure of its rank, built once per distinct rank.
+    once, so no nested level is copied.  A ``BipartitionScan`` is one
+    chunk too, the list of its ``_cut_rows``.
     """
     if type(value) is int:
         out.append(int.__repr__(value))
@@ -491,11 +475,11 @@ def _json_chunks(value, pad: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
-    elif isinstance(value, CutTable):
+    elif isinstance(value, BipartitionScan):
         inner, field = pad + "  ", pad + "    "
-        tails = {r: f'\n{field}],\n{field}"rank": {r},\n{field}"gm": {_json(gm, field)}\n{inner}}}'
-                 for r, gm in value.gm.items()}
-        rows = value.rows(f'{{\n{field}"Q": [\n{field}  ', f",\n{field}  ", tails)
+        rows = _cut_rows(value, f'{{\n{field}"Q": [\n{field}  ', f",\n{field}  ",
+                         lambda r, gm: f'\n{field}],\n{field}"rank": {r},\n'
+                                       f'{field}"gm": {_json(gm, field)}\n{inner}}}')
         out.append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]" if rows else "[]")
     elif isinstance(value, (list, tuple)) and value:
         inner = pad + "  "

@@ -163,9 +163,6 @@ class CommutationGraph:
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
 
 def commutation_graph(spec: GroupSpec) -> CommutationGraph:
     """Graph on all d^k element indices; edges where the form vanishes."""

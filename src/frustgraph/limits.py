@@ -11,7 +11,8 @@ DENSE_DIM_CAP = 4096  # d^n of a dense state: verify ghz d=2 n=12 --sos, 5.0-6.5
 ENERGY_DIM_CAP = 1024  # d^n of the energy check: verify ghz d=3 n=6 --sum (729), 0.25 s;
 #   also d of theta_state and its Weyl sum: verify --theta --d 1021, 0.35 s
 OVERLAP_DIM_CAP = 1024  # d^n of the overlap ascent: verify ghz d=2 n=10 --overlap, 0.32-0.33 s;
-#   its widest code basis, one generator at d=2 n=10 (1024 x 512): verify --overlap, 3.2-3.5 s
+#   its slowest check, two generators at d=2 n=10 (1024 x 256 code basis): verify --overlap,
+#   26-29 s; the widest basis, one generator at d=2 n=10 (1024 x 512): 3.6-3.7 s
 SWAP_D_CAP = 11  # d of the swap check's d^2 dense Weyl terms: verify --swap --d 11, 0.44 s
 VERTEX_CAP = 256  # commutation-graph vertices: clique search at d=2 k=8, 0.14 s in-process;
 #   also d^k concrete elements and d^nullity central elements

@@ -41,11 +41,12 @@ Its random starts are drawn on the larger side of each cut.
 The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
 is at most the number of elements, and P <= I, so no product overlap
 exceeds 1.  A restart within ``tol`` of its cap stops, and the restarts
-after it (for an overlap, the later restart blocks of that cut) are
-skipped.  No closed form enters the stop, so a wrong one still shows up
-as a mismatch.  Random restarts use a counter-based Philox generator,
-so every optimizer run is reproducible from its seed.  Every size cap
-comes from ``limits``.
+after it are skipped (for an overlap, a chunk of cuts skips its later
+restart blocks once all its cuts are there).
+No closed form enters the stop, so a wrong one still shows up as a
+mismatch.  Random restarts use a counter-based Philox generator, so
+every optimizer run is reproducible from its seed.  Every size cap comes
+from ``limits``.
 """
 
 from __future__ import annotations
@@ -420,8 +421,10 @@ def max_product_overlaps(
     it allocates at most that budget, or, where one cut and one restart
     do not fit in it, one cut's two layouts of V (2 d^n width entries)
     plus one restart's W and Gram matrices: 9.6 MB against the 1 MiB
-    budget at d = 3, n = 6, k = 1.  Restarts run in blocks, and a cut
-    whose overlap has come within ``cfg.tol`` of 1 skips its later blocks.
+    budget at d = 3, n = 6, k = 1.  A chunk's layouts are built once
+    (``_overlap_layouts``) and serve its restarts block by block; each
+    block's starts are drawn once per cut size.  A chunk stops once the
+    overlaps of all its cuts have come within ``cfg.tol`` of 1.
     """
     cfg = cfg or OptimizerConfig()
     stab.validate()
@@ -442,14 +445,16 @@ def max_product_overlaps(
         big = dim // d ** size
         block, step, _ = _overlap_chunk(dim, big, width, cfg.restarts)
         cuts = [i for i, side in enumerate(sides) if side.size == size]
-        rng = cfg.rng()
-        for first in range(0, cfg.restarts, block):
-            cuts = [i for i in cuts if best[i] < 1 - cfg.tol]
-            if not cuts:
-                break
-            starts = _random_units(rng, min(block, cfg.restarts - first), big)
-            for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
-                values = _overlap_ascent(basis, d, [sides[i] for i in chunk], starts, cfg)
+        rng, starts = cfg.rng(), []  # each block's starts, drawn when first needed
+        for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
+            layouts = _overlap_layouts(basis, d, [sides[i] for i in chunk])
+            # a chunk of several blocks holds one cut: at 1 it skips the rest
+            for b, first in enumerate(range(0, cfg.restarts, block)):
+                if all(best[i] >= 1 - cfg.tol for i in chunk):
+                    break
+                if b == len(starts):
+                    starts.append(_random_units(rng, min(block, cfg.restarts - first), big))
+                values = _overlap_ascent(*layouts, starts[b], cfg)
                 for i, value in zip(chunk, values.max(axis=1)):
                     best[i] = max(best[i], float(value))
     return best
@@ -471,26 +476,34 @@ def _overlap_chunk(dim: int, big: int, width: int, restarts: int) -> tuple[int, 
     return block, step, step * (per_cut + block * per_restart)
 
 
-def _overlap_ascent(basis, d: int, subsets, starts, cfg: OptimizerConfig) -> np.ndarray:
-    """Final (cut, restart) values of the ascent from ``starts`` on cuts of one size.
+def _overlap_layouts(basis, d: int, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Each cut's two permuted copies of the code basis, for cuts of one size.
 
-    Each half-step is one batched matrix product over the permuted code
-    bases, by_q as (dim_q, dim_rest * width) and by_rest as (dim_rest, ...).
-    An entry stops once its value moves less than ``cfg.tol`` or comes
-    within ``cfg.tol`` of 1.
+    by_q is (cut, dim_q, dim_rest * width) with the sites of Q leading, and
+    by_rest is (cut, dim_rest, dim_q * width) with the other sites leading.
     """
-    cuts, (count, dim_rest) = len(subsets), starts.shape
     n = subsets[0].n_sites
-    dim_q = d ** n // dim_rest
+    dim_q = d ** subsets[0].size
+    dim_rest = d ** n // dim_q
     tensor = basis.reshape((d,) * n + (-1,))
-    by_q = np.empty((cuts, dim_q, basis.size // dim_q), dtype=np.complex128)
-    by_rest = np.empty((cuts, dim_rest, basis.size // dim_rest), dtype=np.complex128)
+    by_q = np.empty((len(subsets), dim_q, basis.size // dim_q), dtype=np.complex128)
+    by_rest = np.empty((len(subsets), dim_rest, basis.size // dim_rest), dtype=np.complex128)
     for c, subset in enumerate(subsets):
         q_axes = [j - 1 for j in subset.indices]
         rest_axes = [j for j in range(n) if j not in q_axes]
         by_q[c].reshape(tensor.shape)[...] = tensor.transpose(q_axes + rest_axes + [n])
         by_rest[c].reshape(tensor.shape)[...] = tensor.transpose(rest_axes + q_axes + [n])
+    return by_q, by_rest
 
+
+def _overlap_ascent(by_q, by_rest, starts, cfg: OptimizerConfig) -> np.ndarray:
+    """Final (cut, restart) values of the ascent from ``starts`` on the ``_overlap_layouts``.
+
+    Each half-step is one batched matrix product over the layouts.  An
+    entry stops once its value moves less than ``cfg.tol`` or comes within
+    ``cfg.tol`` of 1.
+    """
+    (cuts, dim_q, _), (count, dim_rest) = by_q.shape, starts.shape
     chi = np.repeat(starts[None], cuts, axis=0)
     value = np.full((cuts, count), -1.0)
     live = np.ones((cuts, count), dtype=bool)

@@ -150,21 +150,17 @@ class PauliOperator:
 
     def inverse(self) -> "PauliOperator":
         """The unique operator Q with self * Q equal to the identity."""
-        d = self.d
-        cross = (-sum(x * y for x, y in zip(self.a, self.b))) % d
-        return PauliOperator(
-            d,
-            tuple(-x % d for x in self.a),
-            tuple(-x % d for x in self.b),
-            -(self.phase_exp + omega_units(d, cross)),
-        )
+        return self.power(-1)
 
     def power(self, m: int) -> "PauliOperator":
-        """Exact m-th power for any integer m, phases included."""
-        m = int(m)
-        base = self if m >= 0 else self.inverse()
-        m = abs(m)
-        result = PauliOperator.identity(self.d, self.n_sites)
+        """Exact m-th power for any integer m, phases included.
+
+        Every operator's ``phase_modulus(d)``-th power is the identity, so m
+        is reduced modulo it first and the square-and-multiply runs on a
+        non-negative exponent.
+        """
+        m = int(m) % phase_modulus(self.d)
+        base, result = self, PauliOperator.identity(self.d, self.n_sites)
         while m:
             if m & 1:
                 result = result.multiply(base)

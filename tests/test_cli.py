@@ -40,7 +40,14 @@ from frustgraph.cli import (
     run_command,
     serialize_document,
 )
-from frustgraph.stabilizer import Stabilizer, _cut_sides, _cut_sites, builtin_code
+from frustgraph.stabilizer import (
+    BipartitionScan,
+    Stabilizer,
+    _cut_sides,
+    _cut_sites,
+    bipartitions,
+    builtin_code,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS_DIR = ROOT / "docs" / "inputs"
@@ -379,8 +386,8 @@ def test_entanglement_builtin_five_qudit():
     assert report.result["is_gme"] is True
     assert report.result["ggm"] == {"num": 1, "den": 2, "real": "0.500000000000"}
     first = report.result["bipartitions"][0]
-    assert first["Q"] == [1]
-    assert first["gm"]["num"] == 1 and first["gm"]["den"] == 2
+    assert first.Q.indices == (1,)
+    assert first.gm_exact == Fraction(1, 2)
 
 
 def test_verify_swap_report():
@@ -692,13 +699,16 @@ def test_cut_table_matches_the_row_dicts(d, n, kind, seed, data):
     k = n if kind == "ghz" else rng.randint(1, n)
     doc = parse_document(_entanglement_document(d, n, kind, k, rng))
     report = run_command("entanglement", doc, CommandFlags())
+    stab = Stabilizer(doc.generators)
+    reports = [stab.gm_measure(q) for q in bipartitions(n)]
     rows = [
         {"Q": list(cut.Q.indices), "rank": cut.rank_Q, "gm": rational_dict(cut.gm_exact)}
-        for cut in Stabilizer(doc.generators).bipartition_reports()
+        for cut in reports
     ]
-    table = report.result["bipartitions"]
-    assert len(table) == len(rows) == 2 ** (n - 1) - 1
-    assert list(table) == rows
+    scan = report.result["bipartitions"]
+    assert type(scan) is BipartitionScan
+    assert len(scan) == len(rows) == 2 ** (n - 1) - 1
+    assert list(scan) == reports
     assert report.to_dict()["result"]["bipartitions"] == rows
     assert emit_report(report, "json") == json.dumps(report.to_dict(), indent=2)
     assert emit_report(report, "text") == denseref.report_text(report.to_dict())
@@ -706,10 +716,10 @@ def test_cut_table_matches_the_row_dicts(d, n, kind, seed, data):
         i = data.draw(st.integers(-len(rows), len(rows) - 1))
         a, b = (data.draw(st.integers(-len(rows), len(rows))) for _ in range(2))
         step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
-        assert table[i] == rows[i]
-        assert table[a:b:step] == rows[a:b:step]
+        assert scan[i] == reports[i]
+        assert scan[a:b:step] == reports[a:b:step]
     with pytest.raises(IndexError):
-        table[len(rows)]
+        scan[len(rows)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -846,16 +856,21 @@ def test_entanglement_scans_the_cuts_once(monkeypatch):
     assert report.result["is_gme"] is True
 
 
-def test_entanglement_writers_build_no_cut_row(monkeypatch):
-    # both writers render the 2047 cuts from the scan, without one row dict
+def _count_scan_items(monkeypatch) -> list:
     calls = []
-    original = cli.CutTable.__getitem__
+    original = BipartitionScan.__getitem__
 
     def counted(self, i):
         calls.append(i)
         return original(self, i)
 
-    monkeypatch.setattr(cli.CutTable, "__getitem__", counted)
+    monkeypatch.setattr(BipartitionScan, "__getitem__", counted)
+    return calls
+
+
+def test_entanglement_writers_build_no_cut_row(monkeypatch):
+    # both writers render the 2047 cuts from the scan, without indexing it
+    calls = _count_scan_items(monkeypatch)
     report = run_command(
         "entanglement", document_from_stabilizer(builtin_code("ghz", 3, 12)), CommandFlags()
     )
@@ -863,8 +878,18 @@ def test_entanglement_writers_build_no_cut_row(monkeypatch):
     assert calls == []
     plain = report.to_dict()["result"]["bipartitions"]
     assert type(plain) is list and len(plain) == 2047
+    assert calls == []
     assert json_text == json.dumps(report.to_dict(), indent=2)
     assert text == denseref.report_text(report.to_dict())
+
+
+def test_verify_overlap_builds_no_cut_report(monkeypatch):
+    # the per-cut comparison reads the scan's ranks and measures beside the overlaps
+    calls = _count_scan_items(monkeypatch)
+    doc = document_from_stabilizer(builtin_code("five_qudit", 2, 5))
+    report = run_command("verify", doc, CommandFlags(checks=("overlap",)))
+    assert calls == []
+    assert report.result["all_pass"] is True
 
 
 def test_cli_reports_are_deterministic(tmp_path):

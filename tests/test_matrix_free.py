@@ -307,9 +307,9 @@ def test_overlaps_agree_across_chunks(entries, monkeypatch):
     calls = []
     ascent = oracle._overlap_ascent
 
-    def counted(basis, d, subsets, starts, cfg):
-        calls.append((len(subsets), len(starts)))
-        return ascent(basis, d, subsets, starts, cfg)
+    def counted(by_q, by_rest, starts, cfg):
+        calls.append((len(by_q), len(starts)))
+        return ascent(by_q, by_rest, starts, cfg)
 
     monkeypatch.setattr(oracle, "_overlap_ascent", counted)
     max_product_overlaps(stab, cuts, cfg)
@@ -337,6 +337,14 @@ def test_overlap_check_stays_within_the_chunk_budget(stab):
     finally:
         tracemalloc.stop()
     assert peak <= basis.nbytes + oracle._OVERLAP_ENTRIES * 16  # complex128 entries
+
+
+@given(st.integers(1, 2 ** 20), st.integers(1, 2 ** 10), st.integers(1, 2 ** 10), st.integers(1, 64))
+def test_overlap_chunks_of_several_restart_blocks_hold_one_cut(dim, big, width, restarts):
+    # so a chunk whose cut reaches overlap 1 skips its later blocks, and no
+    # cut is run again once at 1
+    block, step, _ = oracle._overlap_chunk(dim, big, width, restarts)
+    assert block == restarts or step == 1
 
 
 def test_overlap_check_of_one_codeword_exceeds_the_budget_by_one_cut_and_restart():

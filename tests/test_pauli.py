@@ -99,6 +99,13 @@ def test_power_negative_is_inverse():
             p = random_operator(rng, d, 2)
             assert (p ** -1).multiply(p).is_identity
             assert ((p ** -3) * (p ** 3)).is_identity
+            # power reduces m mod phase_modulus(d); a chain of products checks it
+            chain = PauliOperator.identity(d, p.n_sites)
+            for m in range(1, 2 * phase_modulus(d) + 1):
+                chain = chain * p
+                assert p ** m == chain
+                assert ((p ** -m) * chain).is_identity
+            assert chain.is_identity
 
 
 def test_canonical_unit_phase_xz_is_quarter_turn():

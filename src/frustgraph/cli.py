@@ -243,16 +243,11 @@ def document_from_stabilizer(stab: Stabilizer, mode: str = "stabilizer") -> Inpu
 
 @dataclass(frozen=True)
 class CommandFlags:
-    """Options shared by the subcommands; defaults come from the library."""
+    """Options shared by the subcommands; ``main`` builds (and so checks) ``optimizer`` for each."""
 
-    seed: int = OptimizerConfig.seed
-    restarts: int = OptimizerConfig.restarts
-    tol: float = OptimizerConfig.tol
+    optimizer: OptimizerConfig = OptimizerConfig()
     checks: tuple[str, ...] = ()
     d: int | None = None
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(restarts=self.restarts, tol=self.tol, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -352,7 +347,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 checks.append("overlap")
     if doc is None and any(name in ("sos", "sum", "overlap") for name in checks):
         raise InvalidMode("sos/sum/overlap checks need an input file or --builtin")
-    cfg = flags.optimizer()
+    cfg = flags.optimizer
     d_abstract = flags.d if flags.d is not None else (doc.d if doc else 3)
     entries: list[dict] = []
     for name in checks:
@@ -536,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, default=None, help="dimension for --builtin or abstract checks")
     common.add_argument("--n", type=int, default=None, help="site count for --builtin")
     common.add_argument("--format", choices=["text", "json"], default="text")
-    defaults = CommandFlags()
+    defaults = OptimizerConfig()
     common.add_argument("--seed", type=int, default=defaults.seed)
     common.add_argument("--restarts", type=int, default=defaults.restarts)
     common.add_argument("--tol", type=float, default=defaults.tol)
@@ -553,14 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = _load_document(args)
         flags = CommandFlags(
-            seed=args.seed,
-            restarts=args.restarts,
-            tol=args.tol,
+            OptimizerConfig(restarts=args.restarts, tol=args.tol, seed=args.seed),
             checks=tuple(getattr(args, "checks", None) or ()),
             d=args.d,
         )
+        doc = _load_document(args)
         report = run_command(args.command, doc, flags)
     except FrustGraphError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

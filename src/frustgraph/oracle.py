@@ -163,7 +163,7 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
         idx += y
         dot += B[:, j : j + 1] * y
         dot %= d
-    del y
+        del y
     modulus = phase_modulus(d)
     dot = omega_units(d, dot)
     dot += np.asarray(units, dtype=np.int64)[:, None]
@@ -321,7 +321,6 @@ def max_sum_eigenvalue(spec: GroupSpec) -> float:
 
 def stabilizer_projector(stab: Stabilizer) -> np.ndarray:
     """Dense projector onto the stabilized subspace, ``_group_sum`` of the identity over d^k."""
-    stab.validate()
     dim = check_size(stab.d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
     tables = _power_tables(stab.generators, stab.d)
     proj = _group_sum(tables, np.eye(dim, dtype=np.complex128)) / stab.d ** stab.k
@@ -341,7 +340,6 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
     A^T) acts on y with phase 1.  Cosets have disjoint supports, so these
     sums, normalised, are the basis; refused unless there are d^(n-k).
     """
-    stab.validate()
     if stab._code_basis is None:
         d, k = stab.d, stab.k
         dim = check_size(d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
@@ -427,7 +425,6 @@ def max_product_overlaps(
     overlaps of all its cuts have come within ``cfg.tol`` of 1.
     """
     cfg = cfg or OptimizerConfig()
-    stab.validate()
     d, n = stab.d, stab.n_sites
     dim = check_size(d ** n, OVERLAP_DIM_CAP, "basis states of the overlap check")
     for subset in subsets:
@@ -457,6 +454,7 @@ def max_product_overlaps(
                 values = _overlap_ascent(*layouts, starts[b], cfg)
                 for i, value in zip(chunk, values.max(axis=1)):
                     best[i] = max(best[i], float(value))
+            del layouts  # freed before the next chunk builds its own
     return best
 
 

@@ -1,7 +1,8 @@
 """Qudit stabilizers and closed-form entanglement of their subspaces.
 
 A stabilizer is an abelian subgroup of the N-site Pauli group containing
-no nontrivial scalar multiple of the identity, described by k generators.
+no nontrivial scalar multiple of the identity, described by k independent
+generators; ``Stabilizer`` checks all three when it is built (``validate``).
 Restricting the generators to one side Q of a bipartition gives a reduced
 generating graph gamma_Q whose rank alone fixes the geometric measure of
 entanglement of the stabilized subspace across that cut:
@@ -89,14 +90,16 @@ def bipartitions(n_sites: int) -> Iterator[SiteSubset]:
 
     Enumeration order is fixed (binary counting over sites 2..n, as
     ``_cut_sides`` lists them), so any scan over bipartitions is
-    reproducible.  Refused past ``DEFAULT_BIPARTITION_CAP`` cuts before
-    any is listed.
+    reproducible.  Refused below one site (``BadSubset``) and past
+    ``DEFAULT_BIPARTITION_CAP`` cuts, before any is listed.
     """
     _check_cuts(n_sites)
     return (SiteSubset(tuple(q), n_sites) for q in _cut_sites(n_sites))
 
 
 def _check_cuts(n_sites: int) -> int:
+    if n_sites < 1:
+        raise BadSubset(f"n_sites must be at least 1, got {n_sites}")
     return check_size((1 << (n_sites - 1)) - 1, DEFAULT_BIPARTITION_CAP,
                       "bipartitions", TooManyBipartitions)
 
@@ -110,8 +113,8 @@ class Stabilizer:
         self.d = gens[0].d
         self.n_sites = gens[0].n_sites
         self.generators = gens
-        self._validated = False
         self._code_basis = None  # dense code-space basis, built by the oracle
+        self.validate()
 
     @property
     def k(self) -> int:
@@ -125,10 +128,8 @@ class Stabilizer:
 
         Order matters: commutation first, then the scalar rule (so a
         generator like -1 reports a phase violation rather than a rank
-        defect), then exponent-row independence.
+        defect), then exponent-row independence.  The constructor runs it.
         """
-        if self._validated:
-            return
         gens = self.generators
         d, k = self.d, self.k
         gamma = commutator_matrix(self._A, self._B, d)
@@ -154,11 +155,9 @@ class Stabilizer:
                 f"generator exponent rows span only {k - len(combos)} of "
                 f"{k} dimensions"
             )
-        self._validated = True
 
     def reduced_generating_graph(self, subset: SiteSubset) -> GFMatrix:
         """Pairwise commutator exponents of the generators restricted to Q."""
-        self.validate()
         if subset.n_sites != self.n_sites:
             raise BadSubset(
                 f"subset is over {subset.n_sites} sites, stabilizer has "
@@ -182,7 +181,6 @@ class Stabilizer:
 
     def bipartition_reports(self) -> "BipartitionScan":
         """Every bipartition's rank and measure, in ``bipartitions`` order."""
-        self.validate()
         count = _check_cuts(self.n_sites)
         d, n, k = self.d, self.n_sites, self.k
         # gamma_Q is the sum over s in Q of the per-site forms gamma_s
@@ -285,7 +283,7 @@ class BipartitionReport:
 
 
 def builtin_code(name: str, d: int, n: int) -> Stabilizer:
-    """Construct a named example stabilizer, validated.
+    """Construct a named example stabilizer.
 
     ``ghz``: the n-site GHZ state at prime d, generated by the all-sites
     shift together with clock pairs Z_i Z_{i+1}^{-1}.
@@ -304,8 +302,8 @@ def builtin_code(name: str, d: int, n: int) -> Stabilizer:
             b[i - 1] = 1
             b[i] = -1
             gens.append(PauliOperator(d, (0,) * n, tuple(b)))
-        stab = Stabilizer(gens)
-    elif name == "five_qudit":
+        return Stabilizer(gens)
+    if name == "five_qudit":
         if n != 5:
             raise DimensionMismatch("the five-qudit code needs exactly 5 sites")
         base_a = np.array([1, 0, 0, -1, 0], dtype=np.int64)
@@ -318,8 +316,5 @@ def builtin_code(name: str, d: int, n: int) -> Stabilizer:
             )
             for shift in range(4)
         ]
-        stab = Stabilizer(gens)
-    else:
-        raise UnknownCode(f"no builtin code named {name!r}")
-    stab.validate()
-    return stab
+        return Stabilizer(gens)
+    raise UnknownCode(f"no builtin code named {name!r}")

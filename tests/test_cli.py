@@ -22,6 +22,7 @@ from frustgraph import (
     DimensionMismatch,
     ExponentOutOfRange,
     FrustGraphError,
+    OptimizerConfig,
     ParseError,
     PauliOperator,
 )
@@ -400,7 +401,7 @@ def test_verify_swap_report():
 
 def test_verify_document_checks():
     doc = parse_document(XZ3_TEXT)
-    report = run_command("verify", doc, CommandFlags(restarts=8))
+    report = run_command("verify", doc, CommandFlags(OptimizerConfig(restarts=8)))
     assert report.result["all_pass"] is True
     names = [entry["name"] for entry in report.result["checks"]]
     assert names == ["sos", "sum"]
@@ -818,8 +819,8 @@ def test_fuzzed_documents_exit_cleanly(tmp_path, capsys):
         for _ in range(50):
             mutated = mutate(text, rng)
             path.write_text(mutated)
-            for command in ("analyze", "canonical", "entanglement"):
-                code = main([command, str(path), "--format", "json"])
+            for command in (["analyze"], ["canonical"], ["entanglement"], ["verify", "--restarts", "2"]):
+                code = main([*command, str(path), "--format", "json"])
                 captured = capsys.readouterr()
                 assert code in (0, 2), f"{command} exited {code} on {mutated!r}:\n{captured.err}"
 
@@ -839,6 +840,15 @@ def test_cli_rejects_bad_optimizer_option(option, capsys):
     argv = ["verify", "--builtin", "five_qudit", "--d", "3", "--sos", *option]
     assert main(argv) == 2
     assert "error[invalid-option]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "canonical", "entanglement"])
+@pytest.mark.parametrize("option", [("--restarts", "0"), ("--tol", "nan")])
+def test_every_command_rejects_bad_optimizer_option(command, option, capsys):
+    # the options are checked where they are read, not only by verify
+    assert main([command, str(DOCS_DIR / "ghz3_d2.txt"), *option]) == 2
+    captured = capsys.readouterr()
+    assert "error[invalid-option]" in captured.err and captured.out == ""
 
 
 def test_entanglement_scans_the_cuts_once(monkeypatch):

@@ -95,6 +95,35 @@ def test_action_tables_cover_every_phase(d):
         assert np.max(np.abs(ph[i][:, None] * eye[idx[i]] - denseref.dense(op))) < TIGHT
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_zero_site_operator_is_its_phase(d):
+    # the trivial group's one concrete element acts on the single basis state
+    for p in range(phase_modulus(d)):
+        zeta = np.exp(2j * np.pi * p / phase_modulus(d))
+        assert np.max(np.abs(dense_pauli(PauliOperator(d, (), (), p)) - [[zeta]])) < TIGHT
+    assert dense_pauli(PauliOperator(d, (), ())).tolist() == [[1]]
+
+
+def test_zero_site_energy_is_the_sum_bound():
+    spec = GroupSpec.from_generators([PauliOperator(3, (), ())])
+    assert max_sum_eigenvalue(spec) == sum_bound(spec) == 6.0
+
+
+def test_action_tables_peak_at_32_bytes_an_entry():
+    # int64 idx, dot, one digit y and its product while building; idx, the
+    # phase units and the complex phases at the end.  A table left alive
+    # past its use would add 8 bytes an entry, 32 a state at m = 4
+    d, n, m = 2, 14, 4
+    A, B = np.random.default_rng(3).integers(0, d, size=(2, m, n))
+    tracemalloc.start()
+    try:
+        _action_tables(A, B, np.zeros(m, dtype=np.int64), d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m * d ** n + 16 * d ** n  # and the (d^n,) states with their digit
+
+
 @settings(max_examples=40, deadline=None)
 @given(ops=operator_lists())
 @example(ops=[PauliOperator(2, (1,), (0,)), PauliOperator(2, (0,), (1,))])
@@ -368,6 +397,26 @@ def test_overlap_check_of_one_codeword_exceeds_the_budget_by_one_cut_and_restart
     assert peak <= max(entries for _, _, entries in chunks) * 16
 
 
+def test_overlap_check_frees_each_chunks_layouts():
+    # d = 5, k = 1: two chunks' layouts of the 625 x 125 code basis (5.0 MB)
+    # exceed the largest chunk _overlap_chunk counts (4.0 MB), so a chunk's
+    # layouts must be freed before the next chunk builds its own
+    stab = graph_code(5, 4, 1, np.random.default_rng(2))
+    basis = _code_basis(stab)
+    dim, width = basis.shape
+    restarts = OptimizerConfig().restarts
+    entries = max(oracle._overlap_chunk(dim, dim // 5 ** size, width, restarts)[2] for size in (1, 2))
+    assert 2 * basis.size * 2 > entries
+    cuts = list(bipartitions(4))
+    tracemalloc.start()
+    try:
+        max_product_overlaps(stab, cuts, OptimizerConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= entries * 16
+
+
 def test_overlaps_of_no_cut_and_refused_cuts():
     stab = builtin_code("ghz", 2, 3)
     assert max_product_overlaps(stab, [], CFG) == []
@@ -542,14 +591,15 @@ def test_group_is_multiplied_out_once_per_spec(monkeypatch):
 
 
 def test_dense_routes_multiply_no_operators(monkeypatch):
-    stab = Stabilizer(builtin_code("five_qudit", 3, 5).generators)  # not yet validated
-    spec = GroupSpec.from_generators(stab.generators)
+    gens = builtin_code("five_qudit", 3, 5).generators
 
     def refuse(self, other):
         raise AssertionError("PauliOperator.multiply called")
 
     monkeypatch.setattr(PauliOperator, "multiply", refuse)
     monkeypatch.setattr(PauliOperator, "__mul__", refuse)
+    stab = Stabilizer(gens)  # validated here, under the patch
+    spec = GroupSpec.from_generators(gens)
     assert max_sos(spec, CFG) == pytest.approx(sos_bound(spec), abs=oracle.BOUND_TOLERANCE)
     assert max_sum_eigenvalue(spec) > 0
     assert 0 < max_product_overlap(stab, SiteSubset((1, 2), 5), CFG) <= 1 + AGREE

@@ -38,28 +38,28 @@ def test_validate_ghz_ok():
 
 
 def test_validate_noncommuting():
-    stab = Stabilizer([PauliOperator.x(2), PauliOperator.z(2)])
+    # the constructor validates, so no invalid Stabilizer is ever built
     with pytest.raises(NonCommuting) as err:
-        stab.validate()
+        Stabilizer([PauliOperator.x(2), PauliOperator.z(2)])
     assert (err.value.i, err.value.j) == (1, 2)
 
 
 def test_validate_scalar_generator_is_phase_violation():
     minus_one = PauliOperator(2, (0,), (0,), phase_exp=2)
     with pytest.raises(PhaseViolation):
-        Stabilizer([PauliOperator.x(2), minus_one]).validate()
+        Stabilizer([PauliOperator.x(2), minus_one])
 
 
 def test_validate_quarter_phase_generator():
     # i X squares to -1, a scalar the group may not contain
     with pytest.raises(PhaseViolation):
-        Stabilizer([PauliOperator(2, (1,), (0,), phase_exp=1)]).validate()
+        Stabilizer([PauliOperator(2, (1,), (0,), phase_exp=1)])
 
 
 def test_validate_dependent_generators():
     xx = PauliOperator(2, (1, 1), (0, 0))
     with pytest.raises(DependentGenerators):
-        Stabilizer([xx, xx]).validate()
+        Stabilizer([xx, xx])
 
 
 def test_reduced_graph_five_qudit_single_site():
@@ -190,3 +190,9 @@ def test_bipartition_enumeration():
     assert all(q.is_proper for q in subsets)
     assert len({q.indices for q in subsets}) == len(subsets)
     assert list(bipartitions(1)) == []
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_bipartitions_need_a_site(n):
+    with pytest.raises(BadSubset, match="at least 1"):
+        bipartitions(n)

@@ -90,9 +90,7 @@ def stabilizers(draw):
     for i, j, c in draw(st.lists(moves, max_size=4)):
         if i != j:
             gens[i] = gens[i] * gens[j] ** c
-    stab = Stabilizer(gens)
-    stab.validate()
-    return stab
+    return Stabilizer(gens)
 
 
 @settings(max_examples=40, deadline=None)

@@ -533,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json"], default="text")
     defaults = OptimizerConfig()
     common.add_argument("--seed", type=int, default=defaults.seed)
-    common.add_argument("--restarts", type=int, default=defaults.restarts)
+    common.add_argument("--restarts", type=int, default=defaults.restarts,
+                        help="restarts of the sos and code-overlap ascents; a state's overlap is exact")
     common.add_argument("--tol", type=float, default=defaults.tol)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="generating graph, rank and bounds")

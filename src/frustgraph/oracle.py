@@ -10,43 +10,41 @@ from explicit complex vectors and matrices:
 * ``verify_swap_identity``  the two-qudit swap as a normalised Weyl sum
 * ``max_sos``           maximise sum |<A>|^2 over the group, two ways
 * ``max_sum_eigenvalue``    top eigenvalue of sum (A + A^dagger)
-* ``max_product_overlap``   alternating product-state ascent on the code space
-* ``max_product_overlaps``  the same ascent for many cuts, stacked per cut size
+* ``max_product_overlap``   top Schmidt weight of a state, product-state ascent on a code
+* ``max_product_overlaps``  the same for many cuts, stacked per cut size
 * ``lagrange_extremum`` the scalar maximum (1 + 1/sqrt(d))/2, an eigenvalue
 * ``theta_state``       the single-site state saturating the energy bound
 * ``theta_energy``      its Weyl sum sum_ij <X^i Z^j>, the bound it attains
 
 The optimisers never build an operator's d^n x d^n matrix.  X^a Z^b maps
-basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather
-plus a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables``
-is the one place that turns exponent arrays into idx and exact phases,
-for many operators at once.  ``max_sos`` applies that way the d^r
-products of the r independent generators, one per Pauli part of the
-group, each weighed by the d^(k-r) elements that share it;
-``dense_pauli`` scatters one operator's row.  ``_power_tables`` holds
-every power g^s of a list of operators.  ``max_sos`` refines a single
-vector into its commuting witness through them, and ``_group_sum`` forms
-every group sum from them: the sum over all d^k ordered products
-T_1^I_1 ... T_k^I_k is the product of the k factors sum_s T_i^s, each d
-gathers.  ``stabilizer_projector`` applies
-it to the identity, ``theta_energy`` to the theta state over the powers
-of X and Z; ``max_sum_eigenvalue`` applies it to one identity
-column per place in a coset of the span of the X parts, which gives the
-diagonal coset blocks as one stack; ``max_product_overlaps`` runs
-stacked cuts and restarts on an exact orthonormal basis of the code
-space, the normalised group sums of the least states of the d^(n-k)
-cosets where every zero-X element has phase 1, cached per ``Stabilizer``.
-Its random starts are drawn on the larger side of each cut.
+basis state |y> to omega^{b.y} |y + a>, so on a vector it is a gather plus
+a phase, A psi = ph * psi[idx], at O(d^n) cost; ``_action_tables`` is the
+one place that turns exponent arrays into idx and exact phases, for many
+operators at once.  ``max_sos`` applies that way the d^r products of the r
+independent generators, one per Pauli part of the group, each weighed by
+the d^(k-r) elements that share it; ``dense_pauli`` scatters one
+operator's row.  ``_power_tables`` holds every power g^s of a list of
+operators.  ``max_sos`` refines a single vector into its commuting witness
+through them, and ``_group_sum`` forms every group sum from them: the sum
+over all d^k ordered products T_1^I_1 ... T_k^I_k is the product of the k
+factors sum_s T_i^s, each d gathers.  ``stabilizer_projector`` applies it
+to the identity, ``theta_energy`` to the theta state over the powers of X
+and Z; ``max_sum_eigenvalue`` applies it to one identity column per place
+in a coset of the span of the X parts, which gives the diagonal coset
+blocks as one stack; ``max_product_overlaps`` works on an exact
+orthonormal basis of the code space, cached per ``Stabilizer``
+(``_code_basis``).  For a state (k = n) it reads every cut's top Schmidt
+weight off that one column, with no restart or seed; for a code it runs
+stacked cuts and restarts in two phases, restart 0 of every cut and then
+the others of the cuts still below 1.
 
 The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
 is at most the number of elements, and P <= I, so no product overlap
 exceeds 1.  A restart within ``tol`` of its cap stops, and the restarts
-after it are skipped (for an overlap, a chunk of cuts skips its later
-restart blocks once all its cuts are there).
-No closed form enters the stop, so a wrong one still shows up as a
-mismatch.  Random restarts use a counter-based Philox generator, so
-every optimizer run is reproducible from its seed.  Every size cap comes
-from ``limits``.
+after it are skipped.  No closed form enters the stop, so a wrong one
+still shows up as a mismatch.  Random restarts use a counter-based Philox
+generator, so every optimizer run is reproducible from its seed.  Every
+size cap comes from ``limits``.
 """
 
 from __future__ import annotations
@@ -115,14 +113,15 @@ def dense_pauli(op: PauliOperator) -> np.ndarray:
     return out
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def _random_units(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """count successive ``_random_unit`` draws, stacked as rows."""
-    return np.stack([_random_unit(rng, dim) for _ in range(count)])
+    """count random unit rows of one draw, each its real and then its imaginary parts."""
+    parts = rng.normal(size=(count, 2, dim))
+    rows = parts[:, 0] + 1j * parts[:, 1]
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _random_units(rng, 1, dim)[0]
 
 
 def verify_swap_identity(d: int) -> float:
@@ -172,12 +171,17 @@ def _action_tables(A, B, units, d: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, zeta[dot]
 
 
-def _power_tables(ops, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Action tables of every power: [i, s] of the (len(ops), d, d^n) idx and ph is ops[i]^s."""
+def _power_tables(ops, d: int, products=None):
+    """Action tables of every power: [i, s] of the (len(ops), d, d^n) idx and ph is ops[i]^s.
+
+    The phases of ``products``, exponent rows over ops, come third from the same table call.
+    """
     k = len(ops)
-    powers = np.kron(np.eye(k, dtype=np.int64), np.arange(d)[:, None])  # row i*d + s
-    idx, ph = _action_tables(*ordered_products(ops, powers), d)
-    return idx.reshape(k, d, -1), ph.reshape(k, d, -1)
+    rows = np.kron(np.eye(k, dtype=np.int64), np.arange(d)[:, None])  # row i*d + s
+    rows = rows if products is None else np.vstack([rows, products])
+    idx, ph = _action_tables(*ordered_products(ops, rows), d)
+    tables = idx[: k * d].reshape(k, d, -1), ph[: k * d].reshape(k, d, -1)
+    return tables if products is None else (tables, ph[k * d :])
 
 
 def _group_sum(tables, cols: np.ndarray) -> np.ndarray:
@@ -343,9 +347,8 @@ def _code_basis(stab: Stabilizer) -> np.ndarray:
     if stab._code_basis is None:
         d, k = stab.d, stab.k
         dim = check_size(d ** stab.n_sites, DENSE_DIM_CAP, "basis states")
-        tables = _power_tables(stab.generators, d)
         kernel = np.array(nullspace_basis(GFMatrix(stab._A.T, d)), dtype=np.int64).reshape(-1, k)
-        _, ph = _action_tables(*ordered_products(stab.generators, kernel), d)
+        tables, ph = _power_tables(stab.generators, d, kernel)
         reps = np.flatnonzero(_coset_labels(tables[0]) == np.arange(dim))
         reps = reps[np.all(ph[:, reps] == 1, axis=0)]  # zeta^0 is exactly 1
         if reps.size != dim // d ** k:
@@ -393,14 +396,13 @@ def max_product_overlap(
 ) -> float:
     """Best overlap <psi|P|psi> over states product across Q | complement.
 
-    Alternating maximisation: with one factor fixed, the optimum of the
-    other is the top eigenvector of the partially contracted projector.
-    With P = V V^dagger for the cached code basis V, contracting V with
-    the fixed factor gives a matrix W whose W W^dagger is that contracted
-    projector.  P <= I, so no overlap exceeds 1: each restart stops once
-    its value moves less than ``cfg.tol`` or comes within ``cfg.tol`` of
-    1.  The result is a certified lower bound on the true maximum; with
-    restarts it reaches it for the desk-scale cases tested here.
+    For a state (k = n, P = |s><s|) it is the exact top squared Schmidt
+    coefficient of s, and ``cfg`` does not enter.  For a code it is an
+    alternating maximisation: with one factor fixed, the other is the top
+    eigenvector of W W^dagger, W the code basis V (P = V V^dagger)
+    contracted with it.  P <= I, so a restart stops within ``cfg.tol`` of
+    1 or once its value moves less than that.  The result is a certified
+    lower bound; restarts bring it to the maximum in the cases tested here.
     """
     return max_product_overlaps(stab, [subset], cfg)[0]
 
@@ -408,21 +410,17 @@ def max_product_overlap(
 def max_product_overlaps(
     stab: Stabilizer, subsets: list[SiteSubset], cfg: OptimizerConfig | None = None
 ) -> list[float]:
-    """``max_product_overlap`` of every cut, one stacked ascent per cut size.
+    """``max_product_overlap`` of every cut, stacked per cut size.
 
-    The Q | Q^c problem is symmetric, so each cut is keyed by its smaller
-    side and the random starts are drawn on the larger one; cuts of sizes
-    s and n - s share one ascent.  Every cut size restarts ``cfg.rng()``,
-    so cuts of one size share their starts and advance together.  A chunk
-    holds as many cuts and restarts as fit in _OVERLAP_ENTRIES complex
-    entries, and at least one of each (``_overlap_chunk``).  So beside V
-    it allocates at most that budget, or, where one cut and one restart
-    do not fit in it, one cut's two layouts of V (2 d^n width entries)
-    plus one restart's W and Gram matrices: 9.6 MB against the 1 MiB
-    budget at d = 3, n = 6, k = 1.  A chunk's layouts are built once
-    (``_overlap_layouts``) and serve its restarts block by block; each
-    block's starts are drawn once per cut size.  A chunk stops once the
-    overlaps of all its cuts have come within ``cfg.tol`` of 1.
+    Each cut is keyed by its smaller side.  A state's value is the top
+    eigenvalue of w w^dagger, w the cut's by_q layout of its one column.
+    For a code, restart r starts from the r-th draw, on the larger side,
+    of one ``cfg.rng()`` stream per cut size: restart 0 runs for every
+    cut, restarts 1 .. R-1 for the cuts still below 1 - ``cfg.tol``.  A
+    chunk holds as many cuts and restarts as fit in _OVERLAP_ENTRIES
+    complex entries, and at least one of each (``_overlap_chunk``), so one
+    cut at d=3, n=6, k=1 takes 9.6 MB.  It builds its two layouts once and
+    runs its restarts on them block by block until all its cuts are at 1.
     """
     cfg = cfg or OptimizerConfig()
     d, n = stab.d, stab.n_sites
@@ -434,28 +432,39 @@ def max_product_overlaps(
             raise BadSubset("bipartition side must be a proper subset")
 
     basis = _code_basis(stab)
-    width = basis.shape[1]
-    # key each cut by its smaller side (on a tie, the one holding site 1)
-    sides = [min(q, q.complement(), key=lambda s: (s.size, s.indices[0])) for q in subsets]
-    best = [0.0] * len(subsets)
-    for size in sorted({side.size for side in sides}):
+    width, tensor = basis.shape[1], basis.reshape((d,) * n + (-1,))
+    # the sites of each cut's smaller side (on a tie, the one holding site 1)
+    sides = [min(q.indices, q.complement().indices, key=lambda s: (len(s), s[0])) for q in subsets]
+    best = np.zeros(len(subsets))
+    for size in sorted({len(side) for side in sides}):
         big = dim // d ** size
-        block, step, _ = _overlap_chunk(dim, big, width, cfg.restarts)
-        cuts = [i for i, side in enumerate(sides) if side.size == size]
-        rng, starts = cfg.rng(), []  # each block's starts, drawn when first needed
-        for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
-            layouts = _overlap_layouts(basis, d, [sides[i] for i in chunk])
-            # a chunk of several blocks holds one cut: at 1 it skips the rest
-            for b, first in enumerate(range(0, cfg.restarts, block)):
-                if all(best[i] >= 1 - cfg.tol for i in chunk):
-                    break
-                if b == len(starts):
-                    starts.append(_random_units(rng, min(block, cfg.restarts - first), big))
-                values = _overlap_ascent(*layouts, starts[b], cfg)
-                for i, value in zip(chunk, values.max(axis=1)):
-                    best[i] = max(best[i], float(value))
-            del layouts  # freed before the next chunk builds its own
-    return best
+        cuts = [i for i, side in enumerate(sides) if len(side) == size]
+        if width == 1:  # a state: its by_q layout is one restart's W, and no V layout is built
+            step = _overlap_chunk(0, d ** size, big, 1)[1]
+            for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
+                best[chunk] = _top_left(_overlap_layout(tensor, [sides[i] for i in chunk]))[0]
+            continue
+        rng = cfg.rng()
+        for count in (1, cfg.restarts - 1):  # restart 0 of every cut, then the rest below 1
+            cuts = [i for i in cuts if best[i] < 1 - cfg.tol]
+            if not (count and cuts):
+                break
+            block, step, _ = _overlap_chunk(dim, big, width, count)
+            starts = []  # each block's starts, drawn when first needed
+            for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
+                by_q = _overlap_layout(tensor, [sides[i] for i in chunk])
+                by_rest = by_q.reshape(len(chunk), dim // big, big, width).transpose(0, 2, 1, 3)
+                by_rest = by_rest.reshape(len(chunk), big, -1)  # a copy, the other sites first
+                # a chunk of several blocks holds one cut: at 1 it skips the rest
+                for b, first in enumerate(range(0, count, block)):
+                    if np.all(best[chunk] >= 1 - cfg.tol):
+                        break
+                    if b == len(starts):
+                        starts.append(_random_units(rng, min(block, count - first), big))
+                    values = _overlap_ascent(by_q, by_rest, starts[b], cfg).max(axis=1)
+                    best[chunk] = np.maximum(best[chunk], values)
+                del by_q, by_rest  # freed before the next chunk builds its own
+    return best.tolist()
 
 
 def _overlap_chunk(dim: int, big: int, width: int, restarts: int) -> tuple[int, int, int]:
@@ -474,28 +483,19 @@ def _overlap_chunk(dim: int, big: int, width: int, restarts: int) -> tuple[int, 
     return block, step, step * (per_cut + block * per_restart)
 
 
-def _overlap_layouts(basis, d: int, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Each cut's two permuted copies of the code basis, for cuts of one size.
-
-    by_q is (cut, dim_q, dim_rest * width) with the sites of Q leading, and
-    by_rest is (cut, dim_rest, dim_q * width) with the other sites leading.
-    """
-    n = subsets[0].n_sites
-    dim_q = d ** subsets[0].size
-    dim_rest = d ** n // dim_q
-    tensor = basis.reshape((d,) * n + (-1,))
-    by_q = np.empty((len(subsets), dim_q, basis.size // dim_q), dtype=np.complex128)
-    by_rest = np.empty((len(subsets), dim_rest, basis.size // dim_rest), dtype=np.complex128)
-    for c, subset in enumerate(subsets):
-        q_axes = [j - 1 for j in subset.indices]
+def _overlap_layout(tensor, sides) -> np.ndarray:
+    """by_q of cuts Q of one size, listed by sites: the (d,)*n + (width,) basis with Q first."""
+    n, dim_q = tensor.ndim - 1, tensor.shape[0] ** len(sides[0])
+    by_q = np.empty((len(sides), dim_q, tensor.size // dim_q), dtype=np.complex128)
+    for layout, side in zip(by_q, sides):
+        q_axes = [j - 1 for j in side]
         rest_axes = [j for j in range(n) if j not in q_axes]
-        by_q[c].reshape(tensor.shape)[...] = tensor.transpose(q_axes + rest_axes + [n])
-        by_rest[c].reshape(tensor.shape)[...] = tensor.transpose(rest_axes + q_axes + [n])
-    return by_q, by_rest
+        layout.reshape(tensor.shape)[...] = tensor.transpose(q_axes + rest_axes + [n])
+    return by_q
 
 
 def _overlap_ascent(by_q, by_rest, starts, cfg: OptimizerConfig) -> np.ndarray:
-    """Final (cut, restart) values of the ascent from ``starts`` on the ``_overlap_layouts``.
+    """Final (cut, restart) values of the ascent from ``starts`` on the by_q and by_rest layouts.
 
     Each half-step is one batched matrix product over the layouts.  An
     entry stops once its value moves less than ``cfg.tol`` or comes within

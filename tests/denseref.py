@@ -9,7 +9,8 @@ keep the matrix-by-matrix form of the oracle's ``max_sos`` and
 ``max_product_overlap``, the energy maximum on the full d^n x d^n matrix
 rather than its coset blocks, and the overlap ascent one restart at a time
 on an ``eigh`` code basis of ``projector``, the sum of the dense element
-matrices, not the oracle's ``_group_sum``.  The exact kernels after them
+matrices, not the oracle's ``_group_sum``; for a state (k = n), the top
+Schmidt weight of that basis by a full SVD.  The exact kernels after them
 are the scalar loops that the library's array kernels replaced: the
 pivoting clique search, row-by-row elimination and the vector-by-vector
 symplectic pass.  Last come the report writers that the bulk ones
@@ -211,6 +212,16 @@ def top_left(w: np.ndarray) -> tuple[float, np.ndarray]:
         return float(vals[-1]), vec / np.linalg.norm(vec)
     vals, vecs = np.linalg.eigh(w @ w.conj().T)
     return float(vals[-1]), vecs[:, -1]
+
+
+def schmidt_weight(stab, subset) -> float:
+    """Top squared Schmidt coefficient across the cut of the k = n state, by a dense SVD."""
+    d, n = stab.d, stab.n_sites
+    q_axes = [i - 1 for i in subset.indices]
+    rest_axes = [i for i in range(n) if i not in set(q_axes)]
+    (state,) = code_basis_eigh(stab).T
+    schmidt = state.reshape((d,) * n).transpose(q_axes + rest_axes).reshape(d ** len(q_axes), -1)
+    return float(np.linalg.svd(schmidt, compute_uv=False)[0] ** 2)
 
 
 def overlap_per_restart(stab, subset, cfg) -> float:

@@ -237,6 +237,11 @@ def overlap_cases(draw):
     return (d, n, k), seed, tuple(sorted(side)), cfg
 
 
+def smaller_side(q: SiteSubset) -> SiteSubset:
+    """The side a cut is keyed by: the smaller one, on a tie the one holding site 1."""
+    return min(q, q.complement(), key=lambda side: (side.size, side.indices[0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(overlap_cases())
 @example((*D5_REPRODUCER, (1,), CFG))
@@ -246,11 +251,9 @@ def test_batched_overlap_matches_the_per_restart_loop(case):
     stab = graph_code(d, n, k, np.random.default_rng(seed))
     q = SiteSubset(side, n)
     got = max_product_overlap(stab, q, cfg)
-    # the cut is keyed by its smaller side (on a tie, the one holding site 1)
-    # and the random starts fall on the other side
+    # the cut is keyed by its smaller side and the random starts fall on the other side
     assert max_product_overlaps(stab, [q.complement()], cfg) == [got]
-    smaller = min(q, q.complement(), key=lambda side: (side.size, side.indices[0]))
-    assert abs(got - denseref.overlap_per_restart(stab, smaller, cfg)) < TIGHT
+    assert abs(got - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
 
 
 def test_stacked_starts_are_successive_unit_draws():
@@ -258,6 +261,11 @@ def test_stacked_starts_are_successive_unit_draws():
     stacked = np.vstack([oracle._random_units(rng, 3, 9), oracle._random_units(rng, 4, 9)])
     again = OptimizerConfig(seed=5).rng()
     assert np.array_equal(stacked, [oracle._random_unit(again, 9) for _ in range(7)])
+    # row by row, the real and then the imaginary parts of one Philox stream
+    rows = OptimizerConfig(seed=5).rng()
+    for row in stacked:
+        v = rows.normal(size=9) + 1j * rows.normal(size=9)
+        assert np.max(np.abs(row - v / np.linalg.norm(v))) < TIGHT
 
 
 def unit_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -329,18 +337,13 @@ def test_overlaps_of_many_cuts_equal_one_cut_at_a_time(d, data):
 
 @pytest.mark.parametrize("entries", [1, 2 ** 12, 2 ** 14])
 def test_overlaps_agree_across_chunks(entries, monkeypatch):
-    # one (cut, restart) pair per chunk; restarts in blocks; a few cuts per chunk
-    stab = graph_code(3, 4, 2, np.random.default_rng(7))
-    cuts = list(bipartitions(4))[::-1]
+    # one (cut, restart) pair per chunk; restarts in blocks; a few cuts per
+    # chunk.  d=2 n=6 k=3: the budget holds every cut of a size in one chunk,
+    # in restart 0 and again for the cuts below 1 in restarts 1..4
+    stab = graph_code(2, 6, 3, np.random.default_rng(7))
+    cuts = list(bipartitions(6))[::-1]
     cfg = OptimizerConfig(restarts=5, seed=3)
-    calls = []
-    ascent = oracle._overlap_ascent
-
-    def counted(by_q, by_rest, starts, cfg):
-        calls.append((len(by_q), len(starts)))
-        return ascent(by_q, by_rest, starts, cfg)
-
-    monkeypatch.setattr(oracle, "_overlap_ascent", counted)
+    calls = ascents(monkeypatch)
     max_product_overlaps(stab, cuts, cfg)
     unpatched, calls[:] = len(calls), []
     monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
@@ -348,7 +351,7 @@ def test_overlaps_agree_across_chunks(entries, monkeypatch):
     assert len(calls) > unpatched
     assert chunked == [max_product_overlap(stab, q, cfg) for q in cuts]
     for q, value in zip(cuts, chunked):
-        assert abs(value - denseref.overlap_per_restart(stab, q, cfg)) < TIGHT
+        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
 
 
 @pytest.mark.parametrize(
@@ -424,6 +427,23 @@ def test_overlaps_of_no_cut_and_refused_cuts():
         max_product_overlaps(stab, [SiteSubset((1,), 3), SiteSubset((1, 2, 3), 3)], CFG)
     with pytest.raises(BadSubset):
         max_product_overlaps(stab, [SiteSubset((1,), 4)], CFG)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_state_overlap_is_the_dense_schmidt_weight(d, data):
+    # k = n: exact whatever the restarts, and no restart of the ascent beats it
+    n = data.draw(st.integers(2, 4 if d == 5 else 5))
+    stab = graph_code(d, n, n, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    q = SiteSubset(tuple(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))), n)
+    cfg = OptimizerConfig(
+        restarts=data.draw(st.integers(1, 4)),
+        max_iters=data.draw(st.sampled_from([1, 2, 500])),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+    )
+    top = denseref.schmidt_weight(stab, q)
+    assert abs(max_product_overlap(stab, q, cfg) - top) < TIGHT
+    assert denseref.overlap_per_restart(stab, q, cfg) <= top + TIGHT
 
 
 def assert_overlap_is_top_schmidt_weight(stab: Stabilizer) -> None:
@@ -706,16 +726,29 @@ def test_energy_of_a_repeated_generator_is_the_sum_bound():
 
 
 def draws(monkeypatch) -> list[int]:
-    """Dimensions of the random starts drawn from now on."""
+    """Dimensions of the random starts drawn from now on, one per row."""
     seen = []
-    unit = oracle._random_unit
+    units = oracle._random_units
 
-    def counted(rng, dim):
-        seen.append(dim)
-        return unit(rng, dim)
+    def counted(rng, count, dim):
+        seen.extend([dim] * count)
+        return units(rng, count, dim)
 
-    monkeypatch.setattr(oracle, "_random_unit", counted)
+    monkeypatch.setattr(oracle, "_random_units", counted)
     return seen
+
+
+def ascents(monkeypatch) -> list[tuple[int, int]]:
+    """(cuts, restarts) of every ``_overlap_ascent`` call from now on."""
+    calls = []
+    ascent = oracle._overlap_ascent
+
+    def counted(by_q, by_rest, starts, cfg):
+        calls.append((len(by_q), len(starts)))
+        return ascent(by_q, by_rest, starts, cfg)
+
+    monkeypatch.setattr(oracle, "_overlap_ascent", counted)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -756,17 +789,27 @@ def test_overlaps_below_one_run_every_restart_block(stab, entries, monkeypatch):
     if entries is not None:
         monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
     cfg = OptimizerConfig(restarts=5, seed=4)
-    seen = draws(monkeypatch)
-    values = max_product_overlaps(stab, list(bipartitions(5)), cfg)
+    seen, calls = draws(monkeypatch), ascents(monkeypatch)
+    cuts = list(bipartitions(5))
+    values = max_product_overlaps(stab, cuts, cfg)
     assert max(values) < 1 - cfg.tol
-    # sides of sizes 1 and 2 key every cut; the starts fall on the larger side
+    if stab.k == stab.n_sites:
+        # a state: its Schmidt weights, with no draw and no ascent
+        assert seen == [] and calls == []
+        for q, value in zip(cuts, values):
+            assert abs(value - denseref.schmidt_weight(stab, q)) < TIGHT
+        return
+    # sides of sizes 1 and 2 key every cut; the starts fall on the larger
+    # side, and every cut runs every restart
     assert sorted(seen) == [27] * cfg.restarts + [81] * cfg.restarts
+    assert sum(c * r for c, r in calls) == len(cuts) * cfg.restarts
+    for q, value in zip(cuts, values):
+        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
 
 
 def test_overlaps_at_one_skip_later_restart_blocks(monkeypatch):
-    # a product state: every cut reaches overlap 1 in its first block
-    stab = Stabilizer(PauliOperator.single(3, 5, s, z_exp=1) for s in range(1, 6))
-    monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", 1)  # one restart per block
+    # the code |0000> (x) C^3: every cut reaches overlap 1 at restart 0
+    stab = Stabilizer(PauliOperator.single(3, 5, s, z_exp=1) for s in range(1, 5))
     halves = []
     top_left = oracle._top_left
 
@@ -776,13 +819,17 @@ def test_overlaps_at_one_skip_later_restart_blocks(monkeypatch):
 
     monkeypatch.setattr(oracle, "_top_left", counted)
     cfg = OptimizerConfig(restarts=5, seed=4)
-    seen = draws(monkeypatch)
+    seen, calls = draws(monkeypatch), ascents(monkeypatch)
     cuts = list(bipartitions(5))
     values = max_product_overlaps(stab, cuts, cfg)
     assert all(abs(value - 1) < cfg.tol for value in values)
+    # restart 0 only: one draw per cut size, each call stacking every cut of
+    # that size, and one ascent step per cut as the first value is at the cap
     assert sorted(seen) == [27, 81]
-    # one ascent step per cut: the first value is already at the cap
+    assert sorted(calls) == [(5, 1), (10, 1)]
     assert sum(halves) == 2 * len(cuts)
+    for q, value in zip(cuts, values):
+        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
 
 
 def test_overlap_grams_span_the_smaller_side(monkeypatch):
@@ -803,5 +850,4 @@ def test_overlap_grams_span_the_smaller_side(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     cfg = OptimizerConfig()
     for q, value in zip(cuts, values):
-        smaller = min(q, q.complement(), key=lambda side: (side.size, side.indices[0]))
-        assert abs(value - denseref.overlap_per_restart(stab, smaller, cfg)) < TIGHT
+        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT

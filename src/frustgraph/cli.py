@@ -347,6 +347,8 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                 checks.append("overlap")
     if doc is None and any(name in ("sos", "sum", "overlap") for name in checks):
         raise InvalidMode("sos/sum/overlap checks need an input file or --builtin")
+    # one Stabilizer, validated before any check runs, serves sos, sum and overlap
+    stab = Stabilizer(doc.generators) if "overlap" in checks else None
     cfg = flags.optimizer
     d_abstract = flags.d if flags.d is not None else (doc.d if doc else 3)
     entries: list[dict] = []
@@ -365,7 +367,7 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
                                         BOUND_TOLERANCE, d=d_abstract))
         elif name in ("sos", "sum"):
             # deviations relative to the bound, which grows as d^k
-            spec = doc.spec
+            spec = stab or doc.spec
             if name == "sos":
                 bound, got = float(sos_bound(spec)), max_sos(spec, cfg)
                 deviation = abs(got - bound) / bound
@@ -375,7 +377,6 @@ def _run_verify(doc: InputDocument | None, flags: CommandFlags) -> Report:
             entries.append(_check_entry(name, deviation, BOUND_TOLERANCE,
                                         value=real_str(got), bound=real_str(bound)))
         elif name == "overlap":
-            stab = Stabilizer(doc.generators)
             scan = stab.bipartition_reports()
             overlaps = max_product_overlaps(stab, list(bipartitions(stab.n_sites)), cfg)
             worst = max([0.0] + [abs(1.0 - overlap - float(scan.measures[r]))

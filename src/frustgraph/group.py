@@ -16,7 +16,7 @@ Bounds that depend only on gamma (clique number of the commutation graph,
 sum-of-squares bound, energy bound for odd d) are computed in exact
 integer arithmetic, form values as plain ints in [0, d); the brute-force
 clique and coloring searches here are the independent cross-checks, refused
-past the vertex caps of ``limits``.
+past the vertex caps of ``limits``.  Every routine takes a ``Stabilizer``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def generating_graph(generators) -> GFMatrix:
     return GFMatrix(commutator_matrix(A, B, d), d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSpec:
     """Prime d plus a generating graph, optionally with concrete generators.
 
@@ -52,9 +52,10 @@ class GroupSpec:
     generators) are first class; concrete generators are needed only by
     the dense oracle routines.  Given generators, gamma may be None: it is
     then derived from them, as ``from_generators`` does, and otherwise
-    checked against them.  ``normal_form``, the certified symplectic normal
-    form of gamma, is computed once; every closed form reads the rank of
-    gamma off it, as twice its pair count.
+    checked against them; each generator must have unit order.
+    ``normal_form``, the certified symplectic normal form of gamma, is
+    computed once; every closed form reads the rank of gamma off it, as
+    twice its pair count.  Specs compare and hash by identity.
     """
 
     d: int
@@ -81,11 +82,10 @@ class GroupSpec:
                 raise DimensionMismatch(
                     f"{len(gens)} generators but gamma is {self.gamma.shape}"
                 )
-            if not all(t.has_unit_order for t in gens):
-                raise PhaseViolation(
-                    "generator's d-th power is not the identity; "
-                    "apply canonical_unit_phase first"
-                )
+            for i, t in enumerate(gens, start=1):
+                if not t.has_unit_order:
+                    raise PhaseViolation(f"generator {i} raised to the power {d} "
+                                         "is a nontrivial scalar")
             if derived is not None and derived != self.gamma:
                 raise GammaMismatch(
                     "gamma disagrees with the generators' commutators"

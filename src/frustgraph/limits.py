@@ -6,8 +6,10 @@ with one BLAS thread, or in-process where marked.
 
 from .errors import TooLarge
 
-DENSE_DIM_CAP = 4096  # d^n of a dense state: verify ghz d=2 n=12 --sos, 5.0-6.5 s, 935 MB;
-#   also d of the lagrange check's d x d form: verify --lagrange --d 4093, 10 s
+DENSE_DIM_CAP = 4096  # d^n of a dense state: verify ghz d=2 n=12 --sos, 5.0-6.5 s, 935 MB, one
+#   restart as a stabilizer reaches the cap; worst case, the non-commuting d=2 n=12 group of X on
+#   all sites, Z_i Z_(i+1) and Z_1 (tables at DENSE_DIM_CAP^2 entries, every restart): --sos,
+#   46-62 s, 934 MB; also d of the lagrange check's d x d form: verify --lagrange --d 4093, 10 s
 ENERGY_DIM_CAP = 1024  # d^n of the energy check: verify ghz d=3 n=6 --sum (729), 0.25 s;
 #   also d of theta_state and its Weyl sum: verify --theta --d 1021, 0.35 s
 OVERLAP_DIM_CAP = 1024  # d^n of the overlap ascent: verify ghz d=2 n=10 --overlap, 0.32-0.33 s;

@@ -2,7 +2,9 @@
 
 A stabilizer is an abelian subgroup of the N-site Pauli group containing
 no nontrivial scalar multiple of the identity, described by k independent
-generators; ``Stabilizer`` checks all three when it is built (``validate``).
+generators.  Its gamma vanishes, so ``Stabilizer`` is a ``GroupSpec`` that
+every group routine takes as it is, and it checks the three rules when it
+is built (``validate``).
 Restricting the generators to one side Q of a bipartition gives a reduced
 generating graph gamma_Q whose rank alone fixes the geometric measure of
 entanglement of the stabilized subspace across that cut:
@@ -53,6 +55,7 @@ from .errors import (
     UnknownCode,
 )
 from .gf import GFMatrix, alternating_ranks, block_dtype, nullspace_basis, rank, reduce_mod
+from .group import GroupSpec
 from .limits import DEFAULT_BIPARTITION_CAP, check_size
 from .pauli import (
     PauliOperator,
@@ -104,48 +107,40 @@ def _check_cuts(n_sites: int) -> int:
                       "bipartitions", TooManyBipartitions)
 
 
-class Stabilizer:
-    """N-site qudit stabilizer given by k generator operators."""
+class Stabilizer(GroupSpec):
+    """N-site qudit stabilizer given by k generator operators.
+
+    Built by ``Stabilizer(generators)``: the inherited ``from_generators``
+    and ``from_gamma`` are not Stabilizer constructors.
+    """
 
     def __init__(self, generators):
         gens = tuple(generators)
         self._A, self._B = exponent_tableau(gens)  # non-empty, one d, one n
-        self.d = gens[0].d
+        super().__init__(gens[0].d, None, gens)  # gamma and the unit-order rule
         self.n_sites = gens[0].n_sites
-        self.generators = gens
         self._code_basis = None  # dense code-space basis, built by the oracle
         self.validate()
-
-    @property
-    def k(self) -> int:
-        return len(self.generators)
 
     def __repr__(self) -> str:
         return f"Stabilizer(d={self.d}, n_sites={self.n_sites}, k={self.k})"
 
     def validate(self) -> None:
-        """Check the three stabilizer invariants, raising on the first failure.
+        """Check the rules a stabilizer adds to its group, raising on the first failure.
 
-        Order matters: commutation first, then the scalar rule (so a
-        generator like -1 reports a phase violation rather than a rank
-        defect), then exponent-row independence.  The constructor runs it.
+        ``GroupSpec`` has checked one d and n and each generator's unit
+        order, so a list that breaks that rule and commutation reports the
+        phase violation.  Then: commutation, off gamma; the scalar rule (-1
+        is a phase violation, not a rank defect); exponent-row independence.
         """
-        gens = self.generators
         d, k = self.d, self.k
-        gamma = commutator_matrix(self._A, self._B, d)
-        rows, cols = np.nonzero(np.triu(gamma, 1))
+        rows, cols = np.nonzero(np.triu(self.gamma.entries, 1))
         if len(rows):
             raise NonCommuting(int(rows[0]) + 1, int(cols[0]) + 1)
-        for i, g in enumerate(gens):
-            if not g.has_unit_order:
-                raise PhaseViolation(
-                    f"generator {i + 1} raised to the power {d} is a "
-                    "nontrivial scalar"
-                )
         # combinations with identity Pauli part must multiply to exactly 1
         combos = nullspace_basis(GFMatrix(np.hstack([self._A, self._B]).T, d))
         if combos:
-            units = ordered_products(gens, combos)[2]
+            units = ordered_products(self.generators, combos)[2]
             if units.any():
                 raise PhaseViolation(
                     "a generator product with identity Pauli part has "

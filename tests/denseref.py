@@ -20,6 +20,8 @@ and reals split into digits and a decimal point by hand.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from frustgraph import (
@@ -152,7 +154,7 @@ def max_sum(spec) -> float:
 
 def projector(stab) -> np.ndarray:
     """(1/d^k) times the sum of the dense matrices of all stabilizer elements."""
-    elements = group_elements(GroupSpec.from_generators(stab.generators))
+    elements = group_elements(stab)
     # group_matrices one at a time: all d^k at once are 3.9 GB at d=5, n=k=4
     return sum(dense(op) for op in elements) / stab.d ** stab.k
 
@@ -196,11 +198,22 @@ def max_product_overlap(stab, subset, cfg) -> float:
 
 
 def code_basis_eigh(stab) -> np.ndarray:
-    """Code basis as the eigenvectors of ``projector`` with eigenvalue above 1/2."""
-    vals, vecs = np.linalg.eigh(projector(stab))
+    """Code basis as the eigenvectors of ``projector`` with eigenvalue above 1/2.
+
+    Memoised on the generators, so the references of every cut of one
+    stabilizer share one dense projector and one ``eigh``; read-only.
+    """
+    return _code_basis_eigh(stab.generators)
+
+
+@functools.lru_cache(maxsize=8)
+def _code_basis_eigh(generators) -> np.ndarray:
+    group = GroupSpec.from_generators(generators)
+    vals, vecs = np.linalg.eigh(projector(group))
     basis = vecs[:, vals > 0.5]
-    if basis.shape[1] != stab.d ** (stab.n_sites - stab.k):
+    if basis.shape[1] != group.d ** (generators[0].n_sites - group.k):
         raise RuntimeError(f"code projector has {basis.shape[1]} unit eigenvalues")
+    basis.flags.writeable = False
     return basis
 
 

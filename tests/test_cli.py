@@ -446,6 +446,44 @@ def test_verify_overlap_of_a_code_whose_basis_check_once_failed(tmp_path, capsys
     assert result["all_pass"] is True
 
 
+# X on all 12 qubits, Z_i Z_{i+1} for i = 1..10 and Z on the first qubit:
+# generators 1 and 12 do not commute, and the sos tables sit at the cap
+NONCOMMUTING12_TEXT = "d=2 n=12 mode=stabilizer\ng1: " + " ".join(["X"] * 12) + "\n" + "".join(
+    f"g{i + 2}: " + " ".join("Z" if j in (i, i + 1) else "I" for j in range(12)) + "\n"
+    for i in range(10)
+) + "g12: Z" + " I" * 11 + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,pair",
+    [(NONCOMMUTING12_TEXT, (1, 12)), ("d=3 n=2 mode=stabilizer\ng1: X I\ng2: Z I\n", (1, 2))],
+    ids=["d2-n12", "d3-n2"],
+)
+def test_verify_refuses_a_non_commuting_stabilizer_before_any_check(
+        text, pair, tmp_path, monkeypatch, capsys):
+    # the default plan holds overlap, so its Stabilizer is built first
+    def no_check(*_args):
+        raise AssertionError("a dense check started")
+
+    monkeypatch.setattr(cli, "max_sos", no_check)
+    monkeypatch.setattr(cli, "max_sum_eigenvalue", no_check)
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error[non-commuting]: generators {pair[0]} and {pair[1]} do not commute\n"
+    )
+
+
+def test_verify_sos_alone_runs_on_a_non_commuting_stabilizer_document(tmp_path, capsys):
+    # without overlap in the plan the document is a group: X and Z reach 2
+    path = tmp_path / "doc.txt"
+    path.write_text("d=2 n=1 mode=stabilizer\ng1: X\ng2: Z\n")
+    assert main(["verify", str(path), "--sos", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert (entry["name"], entry["bound"], entry["pass"]) == ("sos", real_str(2), True)
+
+
 X16_TEXT = "d=3 n=1 mode=group\n" + "".join(f"g{i}: X\n" for i in range(1, 17))
 XZ14_TEXT = "d=3 n=2 mode=group\n" + "".join(f"g{i}: X Z\n" for i in range(1, 15))
 # X on each of 12 qubits and Z on the first: 13 independent generators,

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustgraph import (
     BadSubset,
     DependentGenerators,
     DimensionMismatch,
     GFMatrix,
+    GroupSpec,
     NonCommuting,
+    OptimizerConfig,
     PauliOperator,
     PhaseViolation,
     SiteSubset,
@@ -21,10 +25,18 @@ from frustgraph import (
     UnknownCode,
     bipartitions,
     builtin_code,
+    clique_number,
+    commutation_graph,
+    max_sos,
+    max_sum_eigenvalue,
     rank,
+    sos_bound,
+    sum_bound,
 )
+from frustgraph.limits import ENERGY_DIM_CAP, VERTEX_CAP
 from frustgraph.stabilizer import DEFAULT_BIPARTITION_CAP
 from ref_data import FIVE_QUDIT_CUT_1, FIVE_QUDIT_CUT_12
+from test_matrix_free import graph_code
 
 
 def ghz2_product_stabilizer():
@@ -54,6 +66,54 @@ def test_validate_quarter_phase_generator():
     # i X squares to -1, a scalar the group may not contain
     with pytest.raises(PhaseViolation):
         Stabilizer([PauliOperator(2, (1,), (0,), phase_exp=1)])
+
+
+@pytest.mark.parametrize("build", [GroupSpec.from_generators, Stabilizer], ids=["group", "stabilizer"])
+def test_phase_violation_names_the_generator(build):
+    # i X squares to -1, so generator 2 has no unit order
+    gens = [PauliOperator(2, (0, 1), (0, 0)), PauliOperator(2, (1, 0), (0, 0), phase_exp=1)]
+    with pytest.raises(PhaseViolation, match="^generator 2 raised to the power 2 is a nontrivial scalar$"):
+        build(gens)
+
+
+def test_unit_order_is_checked_before_commutation():
+    # Z and i X neither commute nor have i X of unit order: the group's rule comes first
+    with pytest.raises(PhaseViolation, match="^generator 2 "):
+        Stabilizer([PauliOperator.z(2), PauliOperator(2, (1,), (0,), phase_exp=1)])
+
+
+@st.composite
+def stabilizers(draw):
+    """A random graph code with d in {2, 3, 5} and n <= 4, or a ghz or five-qudit builtin."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["graph", "ghz", "five_qudit"]))
+    if kind == "graph":
+        n = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return graph_code(d, n, draw(st.integers(1, n)), rng)
+    return builtin_code(kind, d, 5 if kind == "five_qudit" else draw(st.integers(2, 4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stabilizers())
+def test_a_stabilizer_is_its_group(stab):
+    # every group routine gives the same value on the stabilizer as on its group
+    group = GroupSpec.from_generators(stab.generators)
+    assert isinstance(stab, GroupSpec)
+    assert stab.gamma == group.gamma and stab.gamma_rank == group.gamma_rank == 0
+    assert clique_number(stab) == clique_number(group)
+    assert sos_bound(stab) == sos_bound(group)
+    if stab.n_elements <= VERTEX_CAP:
+        assert commutation_graph(stab) == commutation_graph(group)
+    cfg = OptimizerConfig(restarts=3, seed=5)
+    assert max_sos(stab, cfg) == max_sos(group, cfg)
+    if stab.d != 2:
+        assert sum_bound(stab) == sum_bound(group)
+        if stab.d ** stab.n_sites <= ENERGY_DIM_CAP:
+            assert max_sum_eigenvalue(stab) == max_sum_eigenvalue(group)
+    # equality and hashing by identity
+    assert hash(stab) == hash(stab) and stab == stab
+    assert stab != Stabilizer(stab.generators)
 
 
 def test_validate_dependent_generators():

@@ -535,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = OptimizerConfig()
     common.add_argument("--seed", type=int, default=defaults.seed)
     common.add_argument("--restarts", type=int, default=defaults.restarts,
-                        help="restarts of the sos and code-overlap ascents; a state's overlap is exact")
+                        help="restarts of the sos ascent, and the most of the code-overlap ascent, "
+                             "which stops once a block of restarts no longer raises a cut's best; "
+                             "a state's overlap is exact")
     common.add_argument("--tol", type=float, default=defaults.tol)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="generating graph, rank and bounds")

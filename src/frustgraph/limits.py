@@ -12,9 +12,9 @@ DENSE_DIM_CAP = 4096  # d^n of a dense state: verify ghz d=2 n=12 --sos, 5.0-6.5
 #   46-62 s, 934 MB; also d of the lagrange check's d x d form: verify --lagrange --d 4093, 10 s
 ENERGY_DIM_CAP = 1024  # d^n of the energy check: verify ghz d=3 n=6 --sum (729), 0.25 s;
 #   also d of theta_state and its Weyl sum: verify --theta --d 1021, 0.35 s
-OVERLAP_DIM_CAP = 1024  # d^n of the overlap ascent: verify ghz d=2 n=10 --overlap, 0.32-0.33 s;
+OVERLAP_DIM_CAP = 1024  # d^n of the overlap ascent: verify ghz d=2 n=10 --overlap, 0.24 s;
 #   its slowest check, two generators at d=2 n=10 (1024 x 256 code basis): verify --overlap,
-#   26-29 s; the widest basis, one generator at d=2 n=10 (1024 x 512): 3.6-3.7 s
+#   2.3-2.5 s, 53 MB; the widest basis, one generator at d=2 n=10 (1024 x 512): 1.6-1.7 s, 64 MB
 SWAP_D_CAP = 11  # d of the swap check's d^2 dense Weyl terms: verify --swap --d 11, 0.44 s
 VERTEX_CAP = 256  # commutation-graph vertices: clique search at d=2 k=8, 0.14 s in-process;
 #   also d^k concrete elements and d^nullity central elements

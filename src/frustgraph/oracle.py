@@ -35,22 +35,26 @@ blocks as one stack; ``max_product_overlaps`` works on an exact
 orthonormal basis of the code space, cached per ``Stabilizer``
 (``_code_basis``).  For a state (k = n) it reads every cut's top Schmidt
 weight off that one column, with no restart or seed; for a code it runs
-stacked cuts and restarts in two phases, restart 0 of every cut and then
-the others of the cuts still below 1.
+an alternating ascent on one layout of that basis per cut: an exact top
+eigenvector on the smaller side and one power step on the larger, for
+stacked cuts and restarts, restart 0 of every cut and then blocks of
+restarts while they raise its best.
 
 The optimisers stop at the trivial caps: every |<A>| <= 1, so sum |<A>|^2
 is at most the number of elements, and P <= I, so no product overlap
 exceeds 1.  A restart within ``tol`` of its cap stops, and the restarts
-after it are skipped.  No closed form enters the stop, so a wrong one
-still shows up as a mismatch.  Random restarts use a counter-based Philox
-generator, so every optimizer run is reproducible from its seed.  Every
-size cap comes from ``limits``.
+after it are skipped.  A cut's overlap restarts also stop at a plateau, a
+block of restarts that raised its best by less than ``tol``.  No closed
+form enters either stop, so a wrong one still shows up as a mismatch.
+Random restarts use a counter-based Philox generator, so every optimizer
+run is reproducible from its seed.  Every size cap comes from ``limits``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +74,9 @@ from .stabilizer import Stabilizer
 
 # complex entries one chunk of the stacked overlap ascent may allocate
 _OVERLAP_ENTRIES = 2 ** 16
+# restarts per block after restart 0: a block that raises a cut's best by
+# less than its tol ends that cut's restarts
+_PLATEAU = 3
 
 # named tolerances, also surfaced by the test suite
 SWAP_TOLERANCE = 1e-12
@@ -398,11 +405,14 @@ def max_product_overlap(
 
     For a state (k = n, P = |s><s|) it is the exact top squared Schmidt
     coefficient of s, and ``cfg`` does not enter.  For a code it is an
-    alternating maximisation: with one factor fixed, the other is the top
-    eigenvector of W W^dagger, W the code basis V (P = V V^dagger)
-    contracted with it.  P <= I, so a restart stops within ``cfg.tol`` of
-    1 or once its value moves less than that.  The result is a certified
-    lower bound; restarts bring it to the maximum in the cases tested here.
+    alternating ascent on the code basis V (P = V V^dagger): with the
+    larger-side factor chi fixed, the smaller-side factor is the top
+    eigenvector of M M^dagger, M the contraction of V with chi; with that
+    factor fixed, chi takes one power step chi <- W W^dagger chi, W the
+    contraction of V with it.  Neither step lowers the value, and P <= I,
+    so a restart stops within ``cfg.tol`` of 1 or once its value moves
+    less than that.  The result is a certified lower bound; restarts bring
+    it to the maximum in the cases tested here.
     """
     return max_product_overlaps(stab, [subset], cfg)[0]
 
@@ -413,16 +423,30 @@ def max_product_overlaps(
     """``max_product_overlap`` of every cut, stacked per cut size.
 
     Each cut is keyed by its smaller side.  A state's value is the top
-    eigenvalue of w w^dagger, w the cut's by_q layout of its one column.
-    For a code, restart r starts from the r-th draw, on the larger side,
-    of one ``cfg.rng()`` stream per cut size: restart 0 runs for every
-    cut, restarts 1 .. R-1 for the cuts still below 1 - ``cfg.tol``.  A
-    chunk holds as many cuts and restarts as fit in _OVERLAP_ENTRIES
-    complex entries, and at least one of each (``_overlap_chunk``), so one
-    cut at d=3, n=6, k=1 takes 9.6 MB.  It builds its two layouts once and
-    runs its restarts on them block by block until all its cuts are at 1.
+    eigenvalue of w w^dagger, w the cut's layout of its one column.  For a
+    code, restart r starts from the r-th draw, on the larger side, of one
+    ``cfg.rng()`` stream per cut size.  Restart 0 runs for every cut; the
+    cuts below 1 - ``cfg.tol`` then run blocks of _PLATEAU restarts, and a
+    cut stops after a block that leaves it within ``cfg.tol`` of 1 or
+    raises its best by less than ``cfg.tol``, or at ``cfg.restarts``.  A
+    chunk holds as many cuts as fit in _OVERLAP_ENTRIES complex entries,
+    and at least one (``_overlap_chunk``), so one cut at d=3, n=6, k=1
+    takes 3.3 MB, 2.8 MB of it its layout.  It builds one layout per cut
+    and runs every restart block of its cuts on it.
     """
-    cfg = cfg or OptimizerConfig()
+    return _overlap_search(stab, subsets, cfg or OptimizerConfig()).values.tolist()
+
+
+class _Search(NamedTuple):
+    """Per cut: the best overlap, the restarts run and the ascent iterations over them."""
+
+    values: np.ndarray
+    restarts: np.ndarray
+    iterations: np.ndarray
+
+
+def _overlap_search(stab: Stabilizer, subsets: list[SiteSubset], cfg: OptimizerConfig) -> _Search:
+    """The ascent of ``max_product_overlaps`` with its counts; a state runs no restart."""
     d, n = stab.d, stab.n_sites
     dim = check_size(d ** n, OVERLAP_DIM_CAP, "basis states of the overlap check")
     for subset in subsets:
@@ -435,88 +459,115 @@ def max_product_overlaps(
     width, tensor = basis.shape[1], basis.reshape((d,) * n + (-1,))
     # the sites of each cut's smaller side (on a tie, the one holding site 1)
     sides = [min(q.indices, q.complement().indices, key=lambda s: (len(s), s[0])) for q in subsets]
-    best = np.zeros(len(subsets))
+    # below every value, so restart 0 is never a plateau
+    search = _Search(np.full(len(subsets), -np.inf), *np.zeros((2, len(subsets)), dtype=np.int64))
+    # restart 0, then blocks of _PLATEAU restarts up to the ceiling, as (first, past the last)
+    blocks = [(0, 1)]
+    blocks += [(r, min(r + _PLATEAU, cfg.restarts)) for r in range(1, cfg.restarts, _PLATEAU)]
     for size in sorted({len(side) for side in sides}):
         big = dim // d ** size
         cuts = [i for i, side in enumerate(sides) if len(side) == size]
-        if width == 1:  # a state: its by_q layout is one restart's W, and no V layout is built
-            step = _overlap_chunk(0, d ** size, big, 1)[1]
+        if width == 1:  # a state: a cut's layout is its Schmidt matrix, and no ascent runs
+            step = _overlap_chunk(dim, big, 1, 1)[1]
             for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
-                best[chunk] = _top_left(_overlap_layout(tensor, [sides[i] for i in chunk]))[0]
+                layouts = _overlap_layout(tensor, [sides[i] for i in chunk])
+                search.values[chunk] = _top_left(layouts[..., 0])[0]
             continue
         rng = cfg.rng()
-        for count in (1, cfg.restarts - 1):  # restart 0 of every cut, then the rest below 1
-            cuts = [i for i in cuts if best[i] < 1 - cfg.tol]
-            if not (count and cuts):
-                break
-            block, step, _ = _overlap_chunk(dim, big, width, count)
-            starts = []  # each block's starts, drawn when first needed
-            for chunk in (cuts[i : i + step] for i in range(0, len(cuts), step)):
-                by_q = _overlap_layout(tensor, [sides[i] for i in chunk])
-                by_rest = by_q.reshape(len(chunk), dim // big, big, width).transpose(0, 2, 1, 3)
-                by_rest = by_rest.reshape(len(chunk), big, -1)  # a copy, the other sites first
-                # a chunk of several blocks holds one cut: at 1 it skips the rest
-                for b, first in enumerate(range(0, count, block)):
-                    if np.all(best[chunk] >= 1 - cfg.tol):
-                        break
-                    if b == len(starts):
-                        starts.append(_random_units(rng, min(block, count - first), big))
-                    values = _overlap_ascent(by_q, by_rest, starts[b], cfg).max(axis=1)
-                    best[chunk] = np.maximum(best[chunk], values)
-                del by_q, by_rest  # freed before the next chunk builds its own
-    return best.tolist()
+        starts = []  # each block's starts, drawn when first needed
+        per_call, step, _ = _overlap_chunk(dim, big, width, max(b - a for a, b in blocks))
+        for chunk in (np.array(cuts[i : i + step]) for i in range(0, len(cuts), step)):
+            by_rest = _overlap_layout(tensor, [sides[i] for i in chunk])
+            for b, (first, last) in enumerate(blocks):
+                if b == len(starts):
+                    starts.append(_random_units(rng, last - first, big))
+                before = search.values[chunk]
+                for lo in range(0, last - first, per_call):
+                    values, steps = _overlap_ascent(by_rest, starts[b][lo : lo + per_call], cfg)
+                    search.values[chunk] = np.maximum(search.values[chunk], values.max(axis=1))
+                    search.iterations[chunk] += steps.sum(axis=1)
+                search.restarts[chunk] += last - first
+                best = search.values[chunk]
+                going = np.flatnonzero((best < 1 - cfg.tol) & (best - before >= cfg.tol))
+                if not going.size:
+                    break
+                for j, i in enumerate(going):  # in place: the cuts that stop leave the layout
+                    by_rest[j] = by_rest[i]
+                by_rest, chunk = by_rest[: going.size], chunk[going]
+            del by_rest  # freed before the next chunk builds its own
+    return search
 
 
 def _overlap_chunk(dim: int, big: int, width: int, restarts: int) -> tuple[int, int, int]:
-    """Restarts per block, cuts per chunk and the complex entries one chunk allocates.
+    """Restarts per ascent call, cuts per chunk and the complex entries one chunk allocates.
 
     ``big`` is the dimension of a cut's larger side and ``width`` that of
-    the code space.  The count is within _OVERLAP_ENTRIES unless one cut
-    and one restart alone exceed it.
+    the code space.  A state (width 1) runs no ascent, and its cut counts
+    as one restart that keeps no layout.  A quarter of _OVERLAP_ENTRIES is
+    left for the Python objects of the cuts (side tuples, index lists);
+    the count is within the rest unless one cut and one restart exceed it.
     """
-    # a cut's two code layouts; a restart's larger W, its conjugate,
-    # four Gram-sized arrays and four factor vectors
-    per_cut = 2 * dim * width
-    per_restart = 2 * big * (width + 2) + 4 * min(big, width) ** 2
-    block = min(restarts, max(1, (_OVERLAP_ENTRIES - per_cut) // per_restart))
-    step = max(1, _OVERLAP_ENTRIES // (per_cut + block * per_restart))
+    budget = _OVERLAP_ENTRIES * 3 // 4
+    small = dim // big
+    if width == 1:  # the layout, its conjugate, two vectors, six Gram-sized arrays
+        per_cut, per_restart = 0, 2 * dim + 2 * big + 6 * small ** 2
+    else:  # one layout; three larger-side vectors, four M-sized and six Gram-sized arrays
+        per_cut = dim * width
+        per_restart = 3 * big + 4 * small * width + 6 * min(small, width) ** 2
+    block = min(restarts, max(1, (budget - per_cut) // per_restart))
+    step = max(1, budget // (per_cut + block * per_restart))
     return block, step, step * (per_cut + block * per_restart)
 
 
 def _overlap_layout(tensor, sides) -> np.ndarray:
-    """by_q of cuts Q of one size, listed by sites: the (d,)*n + (width,) basis with Q first."""
-    n, dim_q = tensor.ndim - 1, tensor.shape[0] ** len(sides[0])
-    by_q = np.empty((len(sides), dim_q, tensor.size // dim_q), dtype=np.complex128)
-    for layout, side in zip(by_q, sides):
+    """Cuts of one size, listed by sites: the (d,)*n + (width,) basis as (cut, big, d^|Q|, width).
+
+    Each cut's rows run over its larger side, the sites of ``sides`` go second.
+    """
+    n, width = tensor.ndim - 1, tensor.shape[-1]
+    small = tensor.shape[0] ** len(sides[0])
+    big = tensor.size // width // small
+    by_rest = np.empty((len(sides), big, small, width), dtype=np.complex128)
+    for layout, side in zip(by_rest, sides):
         q_axes = [j - 1 for j in side]
         rest_axes = [j for j in range(n) if j not in q_axes]
-        layout.reshape(tensor.shape)[...] = tensor.transpose(q_axes + rest_axes + [n])
-    return by_q
+        layout.reshape(tensor.shape)[...] = tensor.transpose(rest_axes + q_axes + [n])
+    return by_rest
 
 
-def _overlap_ascent(by_q, by_rest, starts, cfg: OptimizerConfig) -> np.ndarray:
-    """Final (cut, restart) values of the ascent from ``starts`` on the by_q and by_rest layouts.
+def _overlap_ascent(by_rest, starts, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Final values and iteration counts of the (cut, restart) ascents from ``starts``.
 
-    Each half-step is one batched matrix product over the layouts.  An
+    Each iteration contracts the larger-side factors chi with the layouts
+    to M, one (small, width) matrix per entry, in one batched product; the
+    value and the smaller side's factor p are the top eigenpair of
+    M M^dagger (``_top_left``); and chi becomes the layout applied to
+    conj(p) (x) M^dagger p, the power step W W^dagger chi, normalised.  An
     entry stops once its value moves less than ``cfg.tol`` or comes within
     ``cfg.tol`` of 1.
     """
-    (cuts, dim_q, _), (count, dim_rest) = by_q.shape, starts.shape
-    chi = np.repeat(starts[None], cuts, axis=0)
-    value = np.full((cuts, count), -1.0)
-    live = np.ones((cuts, count), dtype=bool)
+    cuts, big, small, width = by_rest.shape
+    flat = by_rest.reshape(cuts, big, small * width)
+    chi = np.repeat(starts[None], cuts, axis=0)  # (cuts, restarts, big)
+    value = np.full(chi.shape[:2], -1.0)
+    steps = np.zeros(chi.shape[:2], dtype=np.int64)
+    live = np.ones(chi.shape[:2], dtype=bool)
     for _ in range(cfg.max_iters):
-        _, phi = _top_left((chi.conj() @ by_rest).reshape(cuts * count, dim_q, -1))
-        phi = phi.reshape(cuts, count, dim_q).conj()
-        new_value, new_chi = _top_left((phi @ by_q).reshape(cuts * count, dim_rest, -1))
-        new_value = new_value.reshape(cuts, count)
+        m = (chi.conj() @ flat).reshape(-1, small, width)
+        new_value, p = _top_left(m)
+        new_value = new_value.reshape(value.shape)
         done = (np.abs(new_value - value) < cfg.tol) | (new_value >= 1 - cfg.tol)
         np.copyto(value, new_value, where=live)  # a stopped entry's chi no longer counts
-        chi = new_chi.reshape(chi.shape)
+        steps += live
         live &= ~done
         if not live.any():
             break
-    return value
+        pc = p.conj()
+        u = (pc[:, None, :] @ m).conj()  # M^dagger p, as a row
+        chi = (pc[:, :, None] * u).reshape(cuts, -1, small * width) @ flat.transpose(0, 2, 1)
+        norms = np.linalg.norm(chi, axis=2, keepdims=True)
+        chi /= np.where(norms > 0, norms, 1.0)
+    return value, steps
 
 
 def lagrange_extremum(d: int) -> float:

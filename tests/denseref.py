@@ -9,8 +9,9 @@ keep the matrix-by-matrix form of the oracle's ``max_sos`` and
 ``max_product_overlap``, the energy maximum on the full d^n x d^n matrix
 rather than its coset blocks, and the overlap ascent one restart at a time
 on an ``eigh`` code basis of ``projector``, the sum of the dense element
-matrices, not the oracle's ``_group_sum``; for a state (k = n), the top
-Schmidt weight of that basis by a full SVD.  The exact kernels after them
+matrices, not the oracle's ``_group_sum``: the oracle's power half-step and
+restart blocks, and the exact two-sided half-step it replaced; for a state
+(k = n), the top Schmidt weight of that basis by a full SVD.  The exact kernels after them
 are the scalar loops that the library's array kernels replaced: the
 pivoting clique search, row-by-row elimination and the vector-by-vector
 symplectic pass.  Last come the report writers that the bulk ones
@@ -31,6 +32,7 @@ from frustgraph import (
     element_indices,
 )
 from frustgraph.gf import exact_dtype
+from frustgraph.oracle import _PLATEAU
 
 RANK_CUTOFF = 1e-9  # singular values above this span the kept eigenspace
 
@@ -237,18 +239,73 @@ def schmidt_weight(stab, subset) -> float:
     return float(np.linalg.svd(schmidt, compute_uv=False)[0] ** 2)
 
 
-def overlap_per_restart(stab, subset, cfg) -> float:
-    """Alternating product-state ascent on an eigh code basis, one restart at a time."""
+def _code_by_side(stab, subset) -> np.ndarray:
+    """The eigh code basis as a (d^|Q|, d^(n-|Q|), width) tensor, the sites of ``subset`` first."""
     d, n = stab.d, stab.n_sites
     q_axes = [i - 1 for i in subset.indices]
     rest_axes = [i for i in range(n) if i not in set(q_axes)]
     dim_q = d ** len(q_axes)
-    code = (
+    return (
         code_basis_eigh(stab)
         .reshape((d,) * n + (-1,))
         .transpose(q_axes + rest_axes + [n])
         .reshape(dim_q, d ** n // dim_q, -1)
     )
+
+
+def overlap_replay(stab, subset, cfg) -> tuple[float, int, int]:
+    """The oracle's code-overlap schedule one restart at a time: (best, restarts run, iterations).
+
+    Each iteration takes the top eigenpair of M M^dagger, M the code
+    contracted with the larger-side factor chi, and then the power step
+    chi <- W W^dagger chi, as the code contracted with conj(p) and M^dagger p.
+    A restart stops once its value moves less than ``cfg.tol`` or comes
+    within it of 1.  Restart 0 runs first, then blocks of ``_PLATEAU``
+    restarts, until a block leaves the best within ``cfg.tol`` of 1 or
+    raises it by less than ``cfg.tol``, or ``cfg.restarts`` have run.
+    A state (k = n) runs no restart: its value is ``schmidt_weight``.
+    """
+    if stab.k == stab.n_sites:
+        return schmidt_weight(stab, subset), 0, 0
+    code = _code_by_side(stab, subset)
+    rng = cfg.rng()
+    best, run, iterations = -np.inf, 0, 0
+    blocks = [1] + [min(_PLATEAU, cfg.restarts - r) for r in range(1, cfg.restarts, _PLATEAU)]
+    for size in blocks:
+        before = best
+        for _ in range(size):
+            v = rng.normal(size=code.shape[1]) + 1j * rng.normal(size=code.shape[1])
+            chi = v / np.linalg.norm(v)
+            value = -1.0
+            for _ in range(cfg.max_iters):
+                m = chi.conj() @ code
+                new_value, p = top_left(m)
+                chi = np.einsum("q,qxc,c->x", p.conj(), code, m.conj().T @ p)
+                chi /= np.linalg.norm(chi)
+                iterations += 1
+                moved, value = abs(new_value - value), new_value
+                if moved < cfg.tol or value >= 1 - cfg.tol:
+                    break
+            best = max(best, value)
+        run += size
+        if best >= 1 - cfg.tol or best - before < cfg.tol:
+            break
+    return float(best), run, iterations
+
+
+def overlap_per_restart(stab, subset, cfg) -> float:
+    """Best value of ``overlap_replay``, the oracle's ascent on an eigh code basis."""
+    return overlap_replay(stab, subset, cfg)[0]
+
+
+def overlap_exact_ascent(stab, subset, cfg) -> float:
+    """Alternating ascent with an exact top eigenvector on both sides, every restart.
+
+    The two-sided half-step the power step replaced, on the eigh code
+    basis: with chi fixed, phi is the top eigenvector of M M^dagger; with
+    phi fixed, chi that of W W^dagger.
+    """
+    code = _code_by_side(stab, subset)
     rng = cfg.rng()
     best = 0.0
     for _ in range(cfg.restarts):

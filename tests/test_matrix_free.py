@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import denseref
@@ -337,21 +337,29 @@ def test_overlaps_of_many_cuts_equal_one_cut_at_a_time(d, data):
 
 @pytest.mark.parametrize("entries", [1, 2 ** 12, 2 ** 14])
 def test_overlaps_agree_across_chunks(entries, monkeypatch):
-    # one (cut, restart) pair per chunk; restarts in blocks; a few cuts per
-    # chunk.  d=2 n=6 k=3: the budget holds every cut of a size in one chunk,
-    # in restart 0 and again for the cuts below 1 in restarts 1..4
+    # one cut and one restart per ascent call; one or two cuts per chunk; 9
+    # of the 15 cuts of size 2 and 4 of the 10 of size 3 per chunk.  d=2 n=6
+    # k=3: the default budget holds every cut of a size in one chunk
     stab = graph_code(2, 6, 3, np.random.default_rng(7))
     cuts = list(bipartitions(6))[::-1]
     cfg = OptimizerConfig(restarts=5, seed=3)
     calls = ascents(monkeypatch)
-    max_product_overlaps(stab, cuts, cfg)
+    search = oracle._overlap_search(stab, cuts, cfg)
     unpatched, calls[:] = len(calls), []
     monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
-    chunked = max_product_overlaps(stab, cuts, cfg)
+    chunked = oracle._overlap_search(stab, cuts, cfg)
     assert len(calls) > unpatched
-    assert chunked == [max_product_overlap(stab, q, cfg) for q in cuts]
-    for q, value in zip(cuts, chunked):
-        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
+    # the same restarts and iterations per cut; the values to rounding, as
+    # a call of one restart multiplies vectors where one of three multiplies
+    # matrices, and to the bit against one cut at a time on the same budget
+    assert np.array_equal(chunked.restarts, search.restarts)
+    assert np.array_equal(chunked.iterations, search.iterations)
+    assert np.max(np.abs(chunked.values - search.values)) < TIGHT
+    assert chunked.values.tolist() == [max_product_overlap(stab, q, cfg) for q in cuts]
+    assert max(chunked.restarts) > 1  # some cut ran a restart block
+    for q, value, run in zip(cuts, chunked.values, chunked.restarts):
+        want, want_run, _ = denseref.overlap_replay(stab, smaller_side(q), cfg)
+        assert abs(value - want) < TIGHT and run == want_run
 
 
 @pytest.mark.parametrize(
@@ -373,16 +381,15 @@ def test_overlap_check_stays_within_the_chunk_budget(stab):
 
 @given(st.integers(1, 2 ** 20), st.integers(1, 2 ** 10), st.integers(1, 2 ** 10), st.integers(1, 64))
 def test_overlap_chunks_of_several_restart_blocks_hold_one_cut(dim, big, width, restarts):
-    # so a chunk whose cut reaches overlap 1 skips its later blocks, and no
-    # cut is run again once at 1
+    # a chunk of several cuts runs each restart block in one ascent call
     block, step, _ = oracle._overlap_chunk(dim, big, width, restarts)
     assert block == restarts or step == 1
 
 
 def test_overlap_check_of_one_codeword_exceeds_the_budget_by_one_cut_and_restart():
-    # k = 1, d^n = 729: one cut's two layouts of the 729 x 243 code basis and
-    # one restart's 243 x 243 W and Gram matrices do not fit the budget, so
-    # each chunk holds one of each and allocates what _overlap_chunk counts
+    # k = 1, d^n = 729: one cut's layout of the 729 x 243 code basis (2.8 MB)
+    # alone exceeds the budget, so each chunk holds one cut and runs one
+    # restart per ascent call, and allocates what _overlap_chunk counts
     stab = graph_code(3, 6, 1, np.random.default_rng(2))
     basis = _code_basis(stab)
     dim, width = basis.shape
@@ -401,15 +408,15 @@ def test_overlap_check_of_one_codeword_exceeds_the_budget_by_one_cut_and_restart
 
 
 def test_overlap_check_frees_each_chunks_layouts():
-    # d = 5, k = 1: two chunks' layouts of the 625 x 125 code basis (5.0 MB)
-    # exceed the largest chunk _overlap_chunk counts (4.0 MB), so a chunk's
-    # layouts must be freed before the next chunk builds its own
+    # d = 5, k = 1: two chunks' layouts of the 625 x 125 code basis (2.5 MB)
+    # exceed the largest chunk _overlap_chunk counts (1.5 MB), so a chunk's
+    # layout must be freed before the next chunk builds its own
     stab = graph_code(5, 4, 1, np.random.default_rng(2))
     basis = _code_basis(stab)
     dim, width = basis.shape
     restarts = OptimizerConfig().restarts
     entries = max(oracle._overlap_chunk(dim, dim // 5 ** size, width, restarts)[2] for size in (1, 2))
-    assert 2 * basis.size * 2 > entries
+    assert 2 * basis.size > entries
     cuts = list(bipartitions(4))
     tracemalloc.start()
     try:
@@ -443,7 +450,7 @@ def test_state_overlap_is_the_dense_schmidt_weight(d, data):
     )
     top = denseref.schmidt_weight(stab, q)
     assert abs(max_product_overlap(stab, q, cfg) - top) < TIGHT
-    assert denseref.overlap_per_restart(stab, q, cfg) <= top + TIGHT
+    assert denseref.overlap_exact_ascent(stab, q, cfg) <= top + TIGHT
 
 
 def assert_overlap_is_top_schmidt_weight(stab: Stabilizer) -> None:
@@ -742,9 +749,9 @@ def ascents(monkeypatch) -> list[tuple[int, int]]:
     calls = []
     ascent = oracle._overlap_ascent
 
-    def counted(by_q, by_rest, starts, cfg):
-        calls.append((len(by_q), len(starts)))
-        return ascent(by_q, by_rest, starts, cfg)
+    def counted(by_rest, starts, cfg):
+        calls.append((len(by_rest), len(starts)))
+        return ascent(by_rest, starts, cfg)
 
     monkeypatch.setattr(oracle, "_overlap_ascent", counted)
     return calls
@@ -787,65 +794,128 @@ def test_overlaps_below_one_run_every_restart_block(stab, entries, monkeypatch):
     if entries is not None:
         monkeypatch.setattr(oracle, "_OVERLAP_ENTRIES", entries)
     cfg = OptimizerConfig(restarts=5, seed=4)
-    seen, calls = draws(monkeypatch), ascents(monkeypatch)
+    seen = draws(monkeypatch)
     cuts = list(bipartitions(5))
-    values = max_product_overlaps(stab, cuts, cfg)
-    assert max(values) < 1 - cfg.tol
+    search = oracle._overlap_search(stab, cuts, cfg)
+    assert max(search.values) < 1 - cfg.tol
     if stab.k == stab.n_sites:
         # a state: its Schmidt weights, with no draw and no ascent
-        assert seen == [] and calls == []
-        for q, value in zip(cuts, values):
+        assert seen == [] and not search.restarts.any() and not search.iterations.any()
+        for q, value in zip(cuts, search.values):
             assert abs(value - denseref.schmidt_weight(stab, q)) < TIGHT
         return
-    # sides of sizes 1 and 2 key every cut; the starts fall on the larger
-    # side, and every cut runs every restart
-    assert sorted(seen) == [27] * cfg.restarts + [81] * cfg.restarts
-    assert sum(c * r for c, r in calls) == len(cuts) * cfg.restarts
-    for q, value in zip(cuts, values):
-        assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
+    # every cut runs restart 0 and the block after it, which does not raise
+    # its best, so restart 4 never runs; sides of sizes 1 and 2 key every
+    # cut, and the starts fall on the larger side
+    assert search.restarts.tolist() == [1 + oracle._PLATEAU] * len(cuts)
+    assert sorted(seen) == [27] * (1 + oracle._PLATEAU) + [81] * (1 + oracle._PLATEAU)
+    scan = stab.bipartition_reports()
+    for q, r, value, run, steps in zip(cuts, scan.ranks, *search):
+        assert abs(value - (1 - float(scan.measures[r]))) < AGREE
+        want = denseref.overlap_replay(stab, smaller_side(q), cfg)
+        assert abs(value - want[0]) < TIGHT and (run, steps) == want[1:]
 
 
 def test_overlaps_at_one_skip_later_restart_blocks(monkeypatch):
     # the code |0000> (x) C^3: every cut reaches overlap 1 at restart 0
     stab = Stabilizer(PauliOperator.single(3, 5, s, z_exp=1) for s in range(1, 5))
-    halves = []
-    top_left = oracle._top_left
-
-    def counted(w):
-        halves.append(len(w))
-        return top_left(w)
-
-    monkeypatch.setattr(oracle, "_top_left", counted)
     cfg = OptimizerConfig(restarts=5, seed=4)
     seen, calls = draws(monkeypatch), ascents(monkeypatch)
     cuts = list(bipartitions(5))
-    values = max_product_overlaps(stab, cuts, cfg)
-    assert all(abs(value - 1) < cfg.tol for value in values)
+    search = oracle._overlap_search(stab, cuts, cfg)
+    assert all(abs(value - 1) < cfg.tol for value in search.values)
     # restart 0 only: one draw per cut size, each call stacking every cut of
-    # that size, and one ascent step per cut as the first value is at the cap
+    # that size; the value at the random start is below 1, and the one after
+    # its power step at the cap, so each cut runs two iterations
     assert sorted(seen) == [27, 81]
     assert sorted(calls) == [(5, 1), (10, 1)]
-    assert sum(halves) == 2 * len(cuts)
-    for q, value in zip(cuts, values):
+    assert search.restarts.tolist() == [1] * len(cuts)
+    assert search.iterations.tolist() == [2] * len(cuts)
+    for q, value in zip(cuts, search.values):
         assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
 
 
 def test_overlap_grams_span_the_smaller_side(monkeypatch):
-    # graph d=3 n=5 k=2: starts on the larger side leave Gram matrices of
-    # at most 9 x 9; starts on the smaller side would diagonalise 27 x 27 ones
+    # graph d=3 n=5 k=2: starts on the larger side, so every top eigenpair
+    # is of M M^dagger, M a 3 x 27 or 9 x 27 contraction over the smaller
+    # side, with Gram matrices of at most 9 x 9; the larger side of 27 or
+    # 81 states takes a power step and forms no Gram matrix
     stab = graph_code(3, 5, 2, np.random.default_rng(1))
-    eigh = np.linalg.eigh
-    widths = []
+    eigh, top_left = np.linalg.eigh, oracle._top_left
+    widths, shapes = [], set()
 
     def recorded(a):
         widths.append(a.shape[-1])
         return eigh(a)
 
+    def contracted(w):
+        shapes.add(w.shape[1:])
+        return top_left(w)
+
     monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(oracle, "_top_left", contracted)
     cuts = list(bipartitions(5))
     values = max_product_overlaps(stab, cuts, OptimizerConfig())
     assert widths and max(widths) <= 9
+    assert shapes == {(3, 27), (9, 27)}
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     cfg = OptimizerConfig()
     for q, value in zip(cuts, values):
         assert abs(value - denseref.overlap_per_restart(stab, smaller_side(q), cfg)) < TIGHT
+
+
+@settings(max_examples=30, deadline=None)
+@given(code_sizes(min_n=2), st.integers(0, 2 ** 32 - 1))
+def test_code_overlaps_reach_the_closed_form(sizes, seed):
+    # k < n, default budget: the ascent with its restart blocks reaches
+    # 1 - measure on every cut, the measure from rank gamma_Q alone
+    d, n, k = sizes
+    assume(k < n)
+    stab = graph_code(d, n, k, np.random.default_rng(seed))
+    cuts = list(bipartitions(n))
+    scan = stab.bipartition_reports()
+    for value, r in zip(max_product_overlaps(stab, cuts, OptimizerConfig()), scan.ranks):
+        assert abs(value - (1 - float(scan.measures[r]))) < 1e-9
+
+
+def test_a_block_that_raises_the_best_runs_the_next():
+    # max_iters = 1: each restart's value is one smaller-side step from its
+    # start, so restarts differ and blocks keep raising the best; the
+    # replaying reference follows every cut's blocks to the same count
+    stab = builtin_code("five_qudit", 3, 5)
+    cfg = OptimizerConfig(restarts=16, max_iters=1, seed=2)
+    cuts = list(bipartitions(5))
+    search = oracle._overlap_search(stab, cuts, cfg)
+    assert max(search.restarts) > 1 + 2 * oracle._PLATEAU  # past a second block
+    assert search.iterations.tolist() == search.restarts.tolist()
+    for q, value, run in zip(cuts, search.values, search.restarts):
+        want, want_run, _ = denseref.overlap_replay(stab, smaller_side(q), cfg)
+        assert abs(value - want) < TIGHT and run == want_run
+
+
+def test_a_block_that_does_not_raise_the_best_ends_the_cut():
+    # graph d=3 n=5 k=2: the cuts at 1 stop after restart 0; the others
+    # reach their maximum in restart 0, so the first block raises nothing
+    # and they stop after it, far below the ceiling of 32 restarts
+    stab = graph_code(3, 5, 2, np.random.default_rng(1))
+    cfg = OptimizerConfig()
+    search = oracle._overlap_search(stab, list(bipartitions(5)), cfg)
+    at_one = search.values >= 1 - cfg.tol
+    assert at_one.any() and not at_one.all()
+    assert search.restarts.tolist() == [1 if top else 1 + oracle._PLATEAU for top in at_one]
+
+
+@pytest.mark.parametrize(
+    "stab",
+    [builtin_code("ghz", 2, 4), builtin_code("five_qudit", 2, 5), builtin_code("five_qudit", 3, 5)]
+    + [graph_code(3, 4, 2, np.random.default_rng(seed)) for seed in range(3)]
+    + [graph_code(2, 5, 2, np.random.default_rng(seed)) for seed in range(3)],
+    ids=lambda stab: f"d{stab.d}-n{stab.n_sites}-k{stab.k}",
+)
+def test_power_and_exact_half_steps_reach_the_same_overlaps(stab):
+    # the replayed power half-step with its restart blocks, against every
+    # restart of the exact two-sided half-step it replaced
+    for q in bipartitions(stab.n_sites):
+        side = smaller_side(q)
+        power = denseref.overlap_per_restart(stab, side, CFG)
+        assert abs(power - denseref.overlap_exact_ascent(stab, side, CFG)) < AGREE
